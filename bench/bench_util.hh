@@ -38,7 +38,7 @@ using latte::geomean;
  * then each of @p kinds. The expansion order matches the historical
  * hand-written add() loops, so RunKeys, cache entries and --json
  * exports are unchanged; the same spec can also be dumped with
- * toJson() and submitted to latted as-is.
+ * toJson() and run with latte_sweep --spec as-is.
  */
 inline runner::SweepSpec
 figureGridSpec(const std::vector<PolicyKind> &kinds,

@@ -10,12 +10,12 @@
  * level check when disabled.
  *
  * Every line goes through one process-wide writer under a mutex, so
- * output from --sim-threads workers, runner threads and service threads
- * never tears. Each record carries a monotonic timestamp, the emitting
- * thread's name and the thread's correlation context (see LogScope) —
+ * output from --sim-threads workers and runner threads never tears.
+ * Each record carries a monotonic timestamp, the emitting thread's name
+ * and the thread's correlation context (see LogScope) —
  * in `--log-json` mode as one JSON object per line, otherwise as
  *
- *   [     1.234567] warn  run-w2 job-4/cell-9: message
+ *   [     1.234567] warn  run-w2 cell-9: message
  *
  * The minimum level defaults to info and is controlled by --log-level /
  * LATTE_LOG_LEVEL (error|warn|info|debug|trace).
@@ -112,9 +112,9 @@ void setLogThreadName(std::string name);
 const std::string &logThreadName();
 
 /**
- * The calling thread's correlation context ("job-4/cell-9"), empty when
- * none is in scope. Every record carries it, so one grep over the
- * daemon's log reconstructs a job's whole lifetime.
+ * The calling thread's correlation context ("cell-9"), empty when
+ * none is in scope. Every record carries it, so one grep over a
+ * sweep's log reconstructs a cell's whole lifetime.
  */
 const std::string &logContext();
 

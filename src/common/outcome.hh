@@ -73,7 +73,7 @@ struct RunError;
 /**
  * The one human-readable rendering of a RunError, shared by every
  * surface that prints one (sweep fatal diagnostics, driver logs,
- * example CLIs, daemon error events): "<code>: <message>", or just
+ * example CLIs): "<code>: <message>", or just
  * "<code>" when the message is empty. The code prefix is the stable
  * runErrorCodeName() token, so the text round-trips back through
  * runErrorCodeFromName() (pinned by test_resilience).

@@ -51,8 +51,10 @@ class SeriesCollector : public StatVisitor
     std::vector<const StatBase *> &stats_;
 };
 
-} // namespace
-
+/**
+ * Shortest round-trippable decimal for @p v (same contract as the
+ * runner's canonical JSON: re-parsing yields the identical double).
+ */
 std::string
 prometheusNumber(double v)
 {
@@ -76,6 +78,7 @@ prometheusNumber(double v)
     return buf;
 }
 
+/** Sanitized Prometheus metric name: [a-zA-Z0-9_:], latte_ prefixed. */
 std::string
 prometheusName(const std::string &name)
 {
@@ -89,8 +92,13 @@ prometheusName(const std::string &name)
     return out;
 }
 
+/**
+ * "{k=\"v\",...}" rendering of @p labels, with @p extra appended as a
+ * pre-rendered label pair ("le=\"16\""). Empty string for no labels.
+ */
 std::string
-prometheusLabels(const MetricLabels &labels, const std::string &extra)
+prometheusLabels(const MetricLabels &labels,
+                 const std::string &extra = {})
 {
     if (labels.empty() && extra.empty())
         return {};
@@ -111,6 +119,10 @@ prometheusLabels(const MetricLabels &labels, const std::string &extra)
     return out;
 }
 
+/**
+ * One histogram in the cumulative le-bucket exposition format: TYPE
+ * line, one _bucket line per bound plus +Inf, then _sum and _count.
+ */
 void
 writeHistogramPrometheus(std::ostream &os, const std::string &name,
                          const LatencyHistogram &histogram,
@@ -136,6 +148,8 @@ writeHistogramPrometheus(std::ostream &os, const std::string &name,
     os << metric << "_count" << prometheusLabels(labels) << " "
        << histogram.count() << "\n";
 }
+
+} // namespace
 
 ExportFormat
 exportFormatForPath(const std::string &path)

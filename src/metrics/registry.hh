@@ -61,38 +61,8 @@ enum class ExportFormat
 /** Format for @p path by extension: .prom / .csv / anything-else. */
 ExportFormat exportFormatForPath(const std::string &path);
 
-// --- Prometheus exposition helpers -------------------------------------
-//
-// The building blocks of the registry's own exportPrometheus, public so
-// other emitters (the latted service's daemon-wide metrics dump, the
-// profiler export) produce byte-compatible exposition text.
-
 /** Label set attached to exported metrics, in emission order. */
 using MetricLabels = std::vector<std::pair<std::string, std::string>>;
-
-/**
- * Shortest round-trippable decimal for @p v (same contract as the
- * runner's canonical JSON: re-parsing yields the identical double).
- */
-std::string prometheusNumber(double v);
-
-/** Sanitized Prometheus metric name: [a-zA-Z0-9_:], latte_ prefixed. */
-std::string prometheusName(const std::string &name);
-
-/**
- * "{k=\"v\",...}" rendering of @p labels, with @p extra appended as a
- * pre-rendered label pair ("le=\"16\""). Empty string for no labels.
- */
-std::string prometheusLabels(const MetricLabels &labels,
-                             const std::string &extra = {});
-
-/**
- * One histogram in the cumulative le-bucket exposition format: TYPE
- * line, one _bucket line per bound plus +Inf, then _sum and _count.
- */
-void writeHistogramPrometheus(std::ostream &os, const std::string &name,
-                              const LatencyHistogram &histogram,
-                              const MetricLabels &labels = {});
 
 class MetricRegistry
 {

@@ -10,7 +10,6 @@
 
 #include "common/logging.hh"
 #include "json.hh"
-#include "metrics/live.hh"
 #include "metrics/profiler.hh"
 #include "progress.hh"
 #include "resilience.hh"
@@ -246,33 +245,12 @@ ExperimentRunner::runAll(const std::vector<RunRequest> &requests)
             // Every log line this cell emits — from the runner, the
             // simulator or the watchdog-adjacent retry machinery —
             // carries the same correlation id.
-            LogScope cell_ctx(options_.logContext + "cell-" +
-                              std::to_string(i));
+            LogScope cell_ctx("cell-" + std::to_string(i));
 
             const std::string cell_name =
                 (request.workload ? request.workload->abbr
                                   : std::string("?")) +
                 "/" + runRequestLabel(request);
-
-            // Sweep-level cancel: cells not yet started complete as
-            // Cancelled outcomes without touching cache or journal
-            // (the journal treats Cancelled as re-runnable, and these
-            // cells never ran). In-flight cells finish normally.
-            if (options_.cancel && options_.cancel->cancelled()) {
-                RunError error;
-                error.code = RunErrorCode::Cancelled;
-                error.message = "sweep cancelled before the cell started";
-                error.workload =
-                    request.workload ? request.workload->abbr : "";
-                error.policyLabel = runRequestLabel(request);
-                error.seed = request.seed;
-                outcomes[i] = RunOutcome::failure(std::move(error));
-                failed.fetch_add(1, std::memory_order_relaxed);
-                if (options_.onCellDone)
-                    options_.onCellDone(i, outcomes[i], false);
-                progress.completed(cell_name, 0.0, true);
-                continue;
-            }
 
             bool shortcut = false;
             // An observed request must actually simulate — a disk hit
@@ -334,10 +312,6 @@ ExperimentRunner::runAll(const std::vector<RunRequest> &requests)
                 }
             }
             if (!done) {
-                // Register with the live-metrics surface so a /metrics
-                // scrape mid-run sees this cell's cycle/instruction
-                // progress (the Gpu publishes into the thread's slot).
-                metrics::live::CellScope live(cell_name);
                 outcomes[i] = attemptCell(request, cell_name);
                 executed.fetch_add(1, std::memory_order_relaxed);
                 if (!outcomes[i].ok())
@@ -351,9 +325,6 @@ ExperimentRunner::runAll(const std::vector<RunRequest> &requests)
                         journal->record(key.fingerprint(), outcomes[i]);
                 }
             }
-
-            if (options_.onCellDone)
-                options_.onCellDone(i, outcomes[i], shortcut);
 
             const double seconds =
                 std::chrono::duration<double>(

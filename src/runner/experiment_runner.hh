@@ -27,7 +27,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -47,13 +46,6 @@ struct RunnerOptions
     bool progress = true;
 
     // --- Observability -------------------------------------------------
-    /**
-     * Correlation prefix for every log line a cell emits: worker
-     * threads push "<logContext>cell-<i>" as their log context while a
-     * cell runs, so one grep for the prefix reconstructs a job's
-     * lifetime across threads. The service sets "job-<id>/".
-     */
-    std::string logContext;
     /**
      * Directory for crash-diagnostics snapshots: every cell that
      * finishes with a non-Ok outcome dumps a correlation-tagged JSON
@@ -75,28 +67,6 @@ struct RunnerOptions
     std::uint32_t maxRetries = 0;
     /** Base backoff before retry k: backoff * 2^(k-1), capped at 5 s. */
     std::uint64_t retryBackoffMs = 100;
-
-    // --- Supervision ---------------------------------------------------
-    /**
-     * Sweep-level cooperative cancel (not owned; nullptr = not
-     * cancellable). A tripped token only stops cells that have not
-     * started: in-flight cells finish normally (so their results stay
-     * cacheable) and every unstarted cell completes as a Cancelled
-     * outcome without touching the cache or journal. This is
-     * deliberately distinct from the per-cell watchdog tokens — one
-     * slow cell's timeout must not take down the sweep.
-     */
-    CancelToken *cancel = nullptr;
-    /**
-     * Per-cell completion hook: (request index, outcome, shortcut)
-     * where shortcut is true when the cell was served from the journal
-     * or disk cache rather than simulated. Invoked once per cell on
-     * every completion path — executed, cache hit, journal skip,
-     * cancelled — from whichever worker thread finished the cell, so
-     * the callee must be thread-safe. The job service uses it to
-     * stream per-cell progress events to subscribed clients.
-     */
-    std::function<void(std::size_t, const RunOutcome &, bool)> onCellDone;
 };
 
 class ExperimentRunner

@@ -113,10 +113,9 @@ Json toJson(const RunOutcome &outcome);
 
 /**
  * The sweep export document: every outcome as a schema-3 cell document
- * in sweep order. One function shared by Sweep::writeJson, the latted
- * service and latte_client's in-process runner, so the same outcomes
- * always serialize to byte-identical export text regardless of which
- * front end produced them.
+ * in sweep order. Sweep::writeJson serializes through it, so the same
+ * outcomes always export to byte-identical text regardless of which
+ * front end (bench binary, example, latte_sweep) produced them.
  */
 Json outcomesToJson(const std::vector<RunOutcome> &outcomes);
 

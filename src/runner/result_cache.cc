@@ -111,8 +111,8 @@ ResultCache::store(const RunKey &key, const RunOutcome &outcome) const
     // Unique temp name per writer; rename makes the publish atomic, so
     // concurrent writers of the same cell cannot interleave bytes. The
     // pid is part of the name because a cache directory may be shared
-    // by several processes (two sweeps, or the latted daemon next to a
-    // direct run) whose thread-id hashes can collide.
+    // by several processes (two sweeps of overlapping grids) whose
+    // thread-id hashes can collide.
     const std::string tmp_path = strfmt(
         "{}.tmp{}-{}", final_path,
         static_cast<std::uint64_t>(::getpid()),

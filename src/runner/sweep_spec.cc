@@ -1,10 +1,10 @@
 #include "sweep_spec.hh"
 
 #include <algorithm>
+#include <string_view>
 
 #include "common/logging.hh"
 #include "compress/backend.hh"
-#include "result_cache.hh"
 #include "sim/thread_pool.hh"
 #include "workloads/zoo.hh"
 
@@ -409,11 +409,6 @@ SweepSpec::toJson() const
         axis_array.push_back(Json(std::move(axis_object)));
     }
     object["axes"] = Json(std::move(axis_array));
-
-    object["retries"] = Json(static_cast<std::uint64_t>(retries));
-    object["retry_backoff_ms"] = Json(retryBackoffMs);
-    object["cell_timeout_ms"] = Json(cellTimeoutMs);
-    object["cell_cycle_budget"] = Json(cellCycleBudget);
     return Json(std::move(object));
 }
 
@@ -424,6 +419,17 @@ SweepSpec::fromJson(const Json &json, SweepSpec &spec,
     if (json.type() != Json::Type::Object)
         return setError(error, "spec: expected a JSON object");
     spec = SweepSpec{};
+
+    static constexpr std::string_view kKeys[] = {
+        "axes", "name", "options", "policies", "seeds", "workloads"};
+    for (const auto &[key, value] : json.asObject()) {
+        if (std::find(std::begin(kKeys), std::end(kKeys), key) ==
+            std::end(kKeys))
+            return setError(error,
+                            "spec: unknown key '" + key +
+                                "' (allowed: axes, name, options, "
+                                "policies, seeds, workloads)");
+    }
 
     auto stringList = [&](const char *key,
                           std::vector<std::string> &out) {
@@ -439,16 +445,6 @@ SweepSpec::fromJson(const Json &json, SweepSpec &spec,
                                            ": expected strings");
             out.push_back(item.asString());
         }
-        return true;
-    };
-    auto uintField = [&](const char *key, auto &out) {
-        if (!json.contains(key))
-            return true;
-        std::uint64_t value = 0;
-        if (!uintOf(json.at(key), value))
-            return setError(error, std::string(key) +
-                                       ": expected an integer");
-        out = static_cast<std::decay_t<decltype(out)>>(value);
         return true;
     };
 
@@ -496,18 +492,7 @@ SweepSpec::fromJson(const Json &json, SweepSpec &spec,
             spec.axes.push_back(std::move(axis));
         }
     }
-    if (!uintField("retries", spec.retries) ||
-        !uintField("retry_backoff_ms", spec.retryBackoffMs) ||
-        !uintField("cell_timeout_ms", spec.cellTimeoutMs) ||
-        !uintField("cell_cycle_budget", spec.cellCycleBudget))
-        return false;
     return true;
-}
-
-std::uint64_t
-SweepSpec::hash() const
-{
-    return fnv1a(toJson().dump());
 }
 
 } // namespace latte::runner

@@ -2,18 +2,18 @@
  * @file
  * SweepSpec: the declarative, serializable description of a whole
  * experiment sweep — the one sweep-construction API shared by the
- * per-figure bench binaries (via bench_util's grid builders), the
- * latte_client CLI and the latted job service.
+ * per-figure bench binaries (via bench_util's grid builders) and
+ * tools/latte_sweep, which runs a spec file.
  *
  * A spec names a grid:
  *
  *   workloads x policies x seeds x (the cross product of option axes)
  *
- * plus fixed DriverOptions overrides and the resilience knobs a
- * supervising runner may honour (retries, per-cell budgets). It has a
- * canonical JSON form (sorted keys, round-trippable numbers — built on
- * runner/json.*) so the same spec always dumps to the same bytes; that
- * text doubles as the daemon wire format and as the job fingerprint.
+ * plus fixed DriverOptions overrides. It has a canonical JSON form
+ * (sorted keys, round-trippable numbers — built on runner/json.*) so
+ * the same spec always dumps to the same bytes. A spec file is outside
+ * input: fromJson() rejects any top-level key it does not know, so a
+ * misspelt "workload" cannot silently widen the grid to the whole zoo.
  *
  * Option keys are dotted snake_case paths over DriverOptions
  * ("cfg.l1_size_bytes", "cfg.latte.ep_accesses",
@@ -45,7 +45,7 @@ struct SweepAxis
 
 struct SweepSpec
 {
-    /** Display name (job label in the service; optional). */
+    /** Display name (optional; shown in error messages). */
     std::string name;
     /**
      * Workload abbreviations ("KM", "SS", ...). Empty = the whole zoo
@@ -60,12 +60,6 @@ struct SweepSpec
     std::map<std::string, Json> options;
     /** Swept option axes (cross product, declaration order). */
     std::vector<SweepAxis> axes;
-
-    // --- Resilience/execution knobs a supervising runner may honour ---
-    std::uint32_t retries = 0;
-    std::uint64_t retryBackoffMs = 100;
-    std::uint64_t cellTimeoutMs = 0;
-    std::uint64_t cellCycleBudget = 0;
 
     /**
      * First problem with the spec (unknown workload/policy/option key,
@@ -91,12 +85,12 @@ struct SweepSpec
     /** Canonical JSON (sorted keys; every field always present). */
     Json toJson() const;
 
-    /** Parse; false + @p error on malformed input (not validated). */
+    /**
+     * Parse; false + @p error on malformed input or an unknown
+     * top-level key (the spec is not validated).
+     */
     static bool fromJson(const Json &json, SweepSpec &spec,
                          std::string *error);
-
-    /** FNV-1a of the canonical dump — the spec's identity. */
-    std::uint64_t hash() const;
 };
 
 /** Every option key applyOption() understands, sorted. */

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "metrics/live.hh"
 #include "metrics/registry.hh"
 
 namespace latte
@@ -159,10 +158,6 @@ Gpu::runKernel(KernelProgram &program, std::uint64_t max_instructions,
 
     bool budget_hit = false;
     std::optional<SimInterrupt> interrupt;
-    // Simulated-cycle cadence of live-gauge publication (observational
-    // only; the stores land in this thread's metrics::live slot).
-    constexpr Cycles kLivePublishPeriod = Cycles{1} << 16;
-    Cycles next_live_publish = start;
     while (true) {
         // Distribute CTAs round-robin to SMs with capacity.
         bool assigned = true;
@@ -239,14 +234,6 @@ Gpu::runKernel(KernelProgram &program, std::uint64_t max_instructions,
         if (executed >= max_instructions) {
             budget_hit = true;
             break;
-        }
-
-        // Feed the thread's live-metrics slot so a /metrics scrape
-        // mid-run sees the cell advancing. Throttled: the stores are
-        // relaxed, but there is no reason to publish every cycle.
-        if (now_ >= next_live_publish) {
-            metrics::live::CellScope::publish(now_, executed);
-            next_live_publish = now_ + kLivePublishPeriod;
         }
     }
 

@@ -2,10 +2,8 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <sstream>
 
 #include "common/logging.hh"
-#include "metrics/registry.hh"
 
 namespace latte
 {
@@ -114,25 +112,6 @@ SimPoolStatGroup::SimPoolStatGroup(const SimPoolStats &stats)
     callerItems += stats.callerItems;
     sleepTransitions += stats.sleepTransitions;
     barrierWaits += stats.barrierWaitNs.count();
-}
-
-std::string
-simPoolPrometheus()
-{
-    const SimPoolStats stats = simPoolGlobalStats();
-    std::ostringstream os;
-    const auto counter = [&](const char *name, std::uint64_t value) {
-        const std::string metric = metrics::prometheusName(name);
-        os << "# TYPE " << metric << " counter\n";
-        os << metric << " " << value << "\n";
-    };
-    counter("sim_pool_epochs_total", stats.epochs);
-    counter("sim_pool_items_total", stats.items);
-    counter("sim_pool_caller_items_total", stats.callerItems);
-    counter("sim_pool_sleep_transitions_total", stats.sleepTransitions);
-    metrics::writeHistogramPrometheus(os, "sim_pool_barrier_wait_ns",
-                                      stats.barrierWaitNs);
-    return os.str();
 }
 
 unsigned

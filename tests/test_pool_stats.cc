@@ -2,8 +2,8 @@
  * @file
  * Tests for the SimThreadPool introspection counters: exact item/epoch
  * accounting between epochs, the caller-side barrier-wait histogram,
- * the process-wide fold on pool destruction, the StatGroup mirror and
- * the Prometheus exposition. LATTE_SIM_THREADS_NO_CLAMP is set for the
+ * the process-wide fold on pool destruction and the StatGroup mirror.
+ * LATTE_SIM_THREADS_NO_CLAMP is set for the
  * fixture so worker threads exist even on small machines — the same
  * hook the sanitizer CI jobs use.
  */
@@ -197,27 +197,6 @@ TEST_F(PoolStats, StatGroupMirrorsTheAggregate)
     group.collect(flat);
     EXPECT_EQ(flat.at("sim_pool.epochs"), 7.0);
     EXPECT_EQ(flat.at("sim_pool.items"), 70.0);
-}
-
-TEST_F(PoolStats, PrometheusExpositionCoversTheCounters)
-{
-    // Ensure the aggregate is non-trivial before rendering.
-    {
-        SimThreadPool pool(2);
-        pool.run(4, [](std::size_t) {});
-    }
-    const std::string text = simPoolPrometheus();
-    EXPECT_NE(text.find("# TYPE latte_sim_pool_epochs_total counter"),
-              std::string::npos);
-    EXPECT_NE(text.find("latte_sim_pool_items_total "),
-              std::string::npos);
-    EXPECT_NE(text.find("latte_sim_pool_caller_items_total "),
-              std::string::npos);
-    EXPECT_NE(text.find("latte_sim_pool_sleep_transitions_total "),
-              std::string::npos);
-    EXPECT_NE(text.find("latte_sim_pool_barrier_wait_ns"),
-              std::string::npos);
-    EXPECT_EQ(text.back(), '\n');
 }
 
 } // namespace

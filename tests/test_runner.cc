@@ -2,8 +2,8 @@
  * @file
  * Tests for the experiment runner subsystem: JSON round-trips, thread
  * count invariance (bit-identical sweeps at -j 1/2/8), the on-disk
- * result cache, RunKey config-hash separation and the policy
- * catalogue.
+ * result cache, RunKey config-hash separation, the policy catalogue
+ * and SweepSpec file parsing.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/driver.hh"
@@ -132,10 +133,10 @@ TEST(Runner, DiskCacheHitsOnSecondInvocation)
 
 TEST(Runner, ConcurrentRunnersShareOneCacheDirSafely)
 {
-    // Two sweeps over the same grid, racing on one --cache-dir — the
-    // regime latted and direct runs share. Entries are published with
-    // per-process/per-thread tmp names + rename, so concurrent stores
-    // of the same key must never corrupt an entry or fail a run.
+    // Two sweeps over the same grid, racing on one --cache-dir.
+    // Entries are published with per-process/per-thread tmp names +
+    // rename, so concurrent stores of the same key must never corrupt
+    // an entry or fail a run.
     const std::string dir =
         ::testing::TempDir() + "/latte_runner_shared_cache_test";
     std::filesystem::remove_all(dir);
@@ -595,6 +596,69 @@ TEST(Runner, SweepRunsCustomFactoryCells)
     EXPECT_EQ(sweep.outcomes().size(), 1u);
     EXPECT_EQ(first.policyLabel, "Static-FPC");
     EXPECT_GT(first.cycles, 0u);
+}
+
+/** A spec whose cells cost milliseconds, mirroring tinyOptions(). */
+SweepSpec
+tinySpec()
+{
+    SweepSpec spec;
+    spec.name = "tiny";
+    spec.workloads = {"KM"};
+    spec.policies = {"Baseline", "LATTE-CC"};
+    spec.options["max_instructions_per_kernel"] =
+        Json(std::uint64_t{20'000});
+    spec.options["cfg.num_sms"] = Json(std::uint64_t{2});
+    return spec;
+}
+
+TEST(Runner, SweepSpecJsonRoundTripsCanonically)
+{
+    SweepSpec spec = tinySpec();
+    spec.axes.push_back({"cfg.l1_size_bytes",
+                         {Json(std::uint64_t{16384}),
+                          Json(std::uint64_t{32768})}});
+    ASSERT_EQ(spec.validate(), "");
+
+    const std::string dump = spec.toJson().dump();
+    std::string error;
+    SweepSpec restored;
+    ASSERT_TRUE(
+        SweepSpec::fromJson(Json::parse(dump, &error), restored, &error))
+        << error;
+    EXPECT_EQ(restored.toJson().dump(), dump);
+    EXPECT_EQ(restored.cellCount(), spec.cellCount());
+}
+
+TEST(Runner, InvalidSpecsAreRejected)
+{
+    SweepSpec spec = tinySpec();
+    spec.policies = {"No-Such-Policy"};
+    EXPECT_NE(spec.validate().find("No-Such-Policy"), std::string::npos);
+
+    spec = tinySpec();
+    spec.options["cfg.no_such_knob"] = Json(std::uint64_t{1});
+    EXPECT_NE(spec.validate().find("cfg.no_such_knob"), std::string::npos);
+
+    // A spec file is outside input: a misspelt top-level key must not
+    // leave "workloads" empty (the whole zoo), and the retired
+    // per-cell budget fields must not be silently ignored.
+    const std::pair<const char *, const char *> cases[] = {
+        {R"({"workload": ["KM"], "policies": ["Baseline"]})", "workload"},
+        {R"({"workloads": ["KM"], "policies": ["Baseline"],
+             "retries": 2})",
+         "retries"},
+    };
+    for (const auto &[text, key] : cases) {
+        std::string error;
+        const Json json = Json::parse(text, &error);
+        ASSERT_TRUE(error.empty()) << error;
+        SweepSpec parsed;
+        EXPECT_FALSE(SweepSpec::fromJson(json, parsed, &error)) << text;
+        EXPECT_NE(error.find("unknown key '" + std::string(key) + "'"),
+                  std::string::npos)
+            << error;
+    }
 }
 
 TEST(Runner, JsonParsesPrimitives)

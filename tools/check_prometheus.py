@@ -7,11 +7,9 @@ Usage:
         belongs to the metric family of the most recent # TYPE line
         (histogram samples may append _bucket/_sum/_count), no family
         is declared twice, and all samples of a family form one
-        contiguous block.
-
-    check_prometheus.py --monotone BEFORE AFTER
-        Additionally assert that every counter sample present in both
-        scrapes (matched by name + label set) never decreases.
+        contiguous block. Counter and histogram samples must be
+        non-negative. Comment lines other than # TYPE are ignored, as
+        the format specifies.
 
 Exit status 0 on success; 1 with a message on the first violation.
 No dependencies beyond the standard library, so CI can run it on a
@@ -50,7 +48,7 @@ def parse_value(text):
 
 
 def check_file(path):
-    """Validate one exposition; return {(name, labels): value}."""
+    """Validate one exposition; exit with a message on a violation."""
     samples = {}
     declared = {}       # family -> kind
     closed = set()      # families whose sample block has ended
@@ -74,7 +72,8 @@ def check_file(path):
                 current = name
                 continue
             if line.startswith("#"):
-                fail(path, lineno, f"unknown comment: {line!r}")
+                # Format 0.0.4: any other comment line is ignored.
+                continue
 
             match = SAMPLE_RE.match(line)
             if not match:
@@ -108,33 +107,12 @@ def check_file(path):
         if declared.get(family_of(name)) in ("counter", "histogram"):
             if not value >= 0:
                 sys.exit(f"{path}: counter {name}{labels} = {value}")
-    return samples, declared
-
-
-def check_monotone(before_path, after_path):
-    before, kinds = check_file(before_path)
-    after, _ = check_file(after_path)
-    for key, old in before.items():
-        name, labels = key
-        if kinds.get(family_of(name)) not in ("counter", "histogram"):
-            continue
-        if key not in after:
-            # Labeled histogram buckets may legitimately appear only
-            # later (new label sets); vanishing ones are a reset.
-            sys.exit(f"{after_path}: counter {name}{labels} vanished")
-        if after[key] < old:
-            sys.exit(
-                f"{after_path}: counter {name}{labels} went backwards "
-                f"({old} -> {after[key]})")
 
 
 def main(argv):
-    if len(argv) == 2:
-        check_file(argv[1])
-    elif len(argv) == 4 and argv[1] == "--monotone":
-        check_monotone(argv[2], argv[3])
-    else:
+    if len(argv) != 2:
         sys.exit(__doc__)
+    check_file(argv[1])
 
 
 if __name__ == "__main__":
