@@ -4,12 +4,8 @@
  * size-only probe() vs the full compress() (and decompressInto()) for
  * all five algorithms, over the same mixed value corpus the workloads
  * synthesise. Emits canonical JSON (BENCH_compress.json by default) so
- * CI can track the probe speedup as an artifact; the acceptance bars
- * are probe >= 2x compress on at least three of the five algorithms
- * (measured on the scalar reference kernels, so the ratio stays a
- * property of the algorithm design), and batched probeLines() on the
- * best SIMD backend >= 2x the scalar per-line BDI+FPC mix (the L1
- * fill path's hot blend).
+ * CI can keep the per-algorithm rates as an artifact; the acceptance
+ * bar is probe >= 2x compress on at least three of the five algorithms.
  *
  *   bench_compress_throughput [--json out.json] [--lines N] [--reps R]
  */
@@ -21,12 +17,10 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "compress/backend.hh"
 #include "compress/factory.hh"
 #include "compress/sc.hh"
 #include "runner/json.hh"
@@ -101,45 +95,6 @@ measure(const std::vector<Line> &lines, unsigned reps, std::uint64_t &sink,
     return best;
 }
 
-/**
- * Best lines/second of one batched probeLines() sweep over the whole
- * corpus (the vector<Line> storage is contiguous, so it doubles as the
- * flat batch buffer the API takes).
- */
-double
-measureBatched(const std::vector<Line> &lines, unsigned reps,
-               std::uint64_t &sink, Compressor &engine)
-{
-    const std::span<const std::uint8_t> flat(lines.front().data(),
-                                             lines.size() * kLineBytes);
-    std::vector<LineMeta> metas(lines.size());
-    double best = 0.0;
-    for (unsigned r = 0; r < reps; ++r) {
-        const auto start = Clock::now();
-        engine.probeLines(flat, metas);
-        const auto stop = Clock::now();
-        std::uint64_t checksum = 0;
-        for (const LineMeta &meta : metas)
-            checksum += meta.sizeBits;
-        sink ^= checksum;
-        const double seconds =
-            std::chrono::duration<double>(stop - start).count();
-        if (seconds > 0)
-            best = std::max(best,
-                            static_cast<double>(lines.size()) / seconds);
-    }
-    return best;
-}
-
-/** Lines/second of a BDI+FPC blend from the two per-algo rates. */
-double
-mixRate(double bdi, double fpc)
-{
-    if (bdi <= 0 || fpc <= 0)
-        return 0;
-    return 2.0 / (1.0 / bdi + 1.0 / fpc);
-}
-
 struct AlgoResult
 {
     std::string name;
@@ -177,19 +132,8 @@ main(int argc, char **argv)
     std::vector<AlgoResult> results;
     unsigned fast_probes = 0;
 
-    std::map<CompressorId, std::unique_ptr<Compressor>> engines;
-    for (const CompressorId id : allCompressorIds())
-        engines.emplace(id, trainedEngine(id, lines));
-
-    // The per-algorithm table measures the portable scalar reference
-    // kernels, so the probe/compress ratios characterise the algorithm
-    // design and stay comparable across hosts; the SIMD tiers are
-    // compared against each other (and against this baseline) below.
-    const CompressorBackend &entry_backend = activeCompressorBackend();
-    setCompressorBackend(*resolveCompressorBackend("scalar", nullptr));
-
     for (const CompressorId id : allCompressorIds()) {
-        Compressor *engine = engines.at(id).get();
+        const auto engine = trainedEngine(id, lines);
         AlgoResult res;
         res.name = engine->name();
 
@@ -238,67 +182,8 @@ main(int argc, char **argv)
                   << std::setw(12) << res.probeSpeedup << "\n";
     }
 
-    // --- Backend sweep: batched probeLines() per dispatch tier. The
-    // baseline is the pre-batching fill path — per-line probe() on the
-    // scalar kernels — and the headline number is how much faster the
-    // best backend runs the batched BDI+FPC blend (the two modes the
-    // adaptive policies lean on hardest).
-    const double scalar_bdi_perline = measure(
-        lines, reps, sink, [&](const Line &line) {
-            return engines.at(CompressorId::Bdi)->probe(line).sizeBits;
-        });
-    const double scalar_fpc_perline = measure(
-        lines, reps, sink, [&](const Line &line) {
-            return engines.at(CompressorId::Fpc)->probe(line).sizeBits;
-        });
-    const double scalar_perline_mix =
-        mixRate(scalar_bdi_perline, scalar_fpc_perline);
-
-    Json::Object backends_json;
-    double best_mix = 0;
-    std::string best_backend;
-    std::cout << "\n=== batched probeLines() by backend (l/s) ===\n";
-    std::cout << std::left << std::setw(10) << "backend";
-    for (const CompressorId id : allCompressorIds())
-        std::cout << std::right << std::setw(12)
-                  << engines.at(id)->name();
-    std::cout << std::right << std::setw(14) << "bdi+fpc mix" << "\n";
-    for (const CompressorBackend &backend : compressorBackends()) {
-        if (!compressorBackendSupported(backend))
-            continue;
-        setCompressorBackend(backend);
-        Json::Object per_algo;
-        double bdi_rate = 0, fpc_rate = 0;
-        std::cout << std::left << std::setw(10) << backend.name
-                  << std::right << std::fixed << std::setprecision(0);
-        for (const CompressorId id : allCompressorIds()) {
-            const double rate =
-                measureBatched(lines, reps, sink, *engines.at(id));
-            per_algo.emplace(engines.at(id)->name(), Json(rate));
-            std::cout << std::setw(12) << rate;
-            if (id == CompressorId::Bdi)
-                bdi_rate = rate;
-            else if (id == CompressorId::Fpc)
-                fpc_rate = rate;
-        }
-        const double mix = mixRate(bdi_rate, fpc_rate);
-        per_algo.emplace("bdiFpcMixLinesPerSec", Json(mix));
-        backends_json.emplace(backend.name, Json(std::move(per_algo)));
-        std::cout << std::setw(14) << mix << "\n";
-        if (mix > best_mix) {
-            best_mix = mix;
-            best_backend = backend.name;
-        }
-    }
-    setCompressorBackend(entry_backend);
-    const double mix_speedup =
-        scalar_perline_mix > 0 ? best_mix / scalar_perline_mix : 0;
-
     std::cout << fast_probes
               << "/5 algorithms with probe >= 2x compress (gate: >= 3)\n"
-              << std::setprecision(2) << "bdi+fpc mix: batched "
-              << best_backend << " is " << mix_speedup
-              << "x the scalar per-line baseline (gate: >= 2)\n"
               << "(checksum " << sink << ")\n";
 
     Json::Object algos;
@@ -319,11 +204,6 @@ main(int argc, char **argv)
         {"reps", Json(std::uint64_t{reps})},
         {"probeAtLeast2xCount", Json(std::uint64_t{fast_probes})},
         {"algorithms", Json(std::move(algos))},
-        {"backend", Json(std::string(entry_backend.name))},
-        {"backends", Json(std::move(backends_json))},
-        {"bestBackend", Json(best_backend)},
-        {"scalarPerLineMixLinesPerSec", Json(scalar_perline_mix)},
-        {"bdiFpcMixSpeedup", Json(mix_speedup)},
     });
 
     std::ofstream out(json_path);

@@ -17,7 +17,6 @@
 #include <string>
 
 #include "common/logging.hh"
-#include "compress/backend.hh"
 #include "core/driver.hh"
 #include "metrics/profiler.hh"
 #include "metrics/registry.hh"
@@ -128,20 +127,6 @@ main(int argc, char **argv)
     parser.add("--max-instr", "", "N", "per-kernel instruction budget",
                [&](const std::string &v) {
                    options.maxInstructionsPerKernel = std::stoull(v);
-               });
-    parser.add("--compress-backend", "", "NAME",
-               "compression kernel backend: auto|scalar|sse4|avx2 "
-               "(speed only; results are bit-identical)",
-               [&](const std::string &v) {
-                   std::string error;
-                   const CompressorBackend *backend =
-                       resolveCompressorBackend(v, &error);
-                   if (!backend) {
-                       std::cerr << error << "\n";
-                       std::exit(1);
-                   }
-                   setCompressorBackend(*backend);
-                   options.compressBackend = v;
                });
     parser.add("--sim-threads", "", "N",
                "SM-stepping threads: a count or 'auto' (speed only; "

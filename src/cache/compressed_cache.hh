@@ -227,19 +227,6 @@ class CompressedCache : public StatGroup
     };
 
     void insertLine(Cycles now, Addr line_addr);
-    /**
-     * Insert the due fills of one processFills() sweep. When the batch
-     * can be proven equivalent to the sequential per-fill walk (no
-     * round-trip verification, no line already resident, no duplicate
-     * addresses) all probes are funnelled through one batched
-     * probeLines() pass so the backend's SIMD kernels amortise;
-     * otherwise it falls back to per-fill insertLine().
-     */
-    void insertLines(std::span<const PendingFill> due);
-    /** The tail of an insertion once set, mode and meta are known. */
-    void insertPrepared(Cycles now, Addr line_addr, std::uint32_t set,
-                        CompressorId mode, const LineMeta &meta,
-                        const CompressedLine *full_line);
     /** Size-only encode of an insertion (memoised when enabled). */
     LineMeta probeForInsertion(CompressorId mode,
                                std::span<const std::uint8_t> bytes);
@@ -277,21 +264,8 @@ class CompressedCache : public StatGroup
      */
     CompressionDomain domain_;
     std::vector<PendingFill> pendingFills_;
-    // insertLines() scratch, kept as members so a fill batch does not
-    // allocate once the vectors have grown to steady state.
+    /** processFills() scratch: the fills due this sweep. */
     std::vector<PendingFill> dueFills_;
-    std::vector<std::uint32_t> fillSets_;
-    std::vector<CompressorId> fillModes_;
-    std::vector<LineMeta> fillMeta_;
-    std::vector<std::uint8_t> probeBytes_;
-    std::vector<Compressor *> probeEngines_;
-    std::vector<std::uint32_t> probeGens_;
-    std::vector<std::uint32_t> probeSlots_;
-    std::vector<LineMeta> probeMeta_;
-    std::vector<bool> probeDone_;
-    std::vector<std::uint8_t> scratchBytes_;
-    std::vector<std::uint32_t> scratchSlots_;
-    std::vector<LineMeta> scratchMeta_;
     Cycles nextFillCycle_ = kNoCycle;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "backend.hh"
 #include "common/logging.hh"
 
 namespace latte
@@ -81,6 +80,66 @@ classifyLayout(std::span<const std::uint8_t> line, const BdiLayout &layout,
     return true;
 }
 
+bool
+allZero(const std::uint8_t *line)
+{
+    // Word-at-a-time scan; lines are a multiple of 8 bytes.
+    for (unsigned off = 0; off < kLineBytes; off += 8) {
+        if (loadLe(line + off, 8) != 0)
+            return false;
+    }
+    return true;
+}
+
+bool
+repeated8(const std::uint8_t *line)
+{
+    const std::uint64_t first = loadLe(line, 8);
+    for (unsigned off = 8; off < kLineBytes; off += 8) {
+        if (loadLe(line + off, 8) != first)
+            return false;
+    }
+    return true;
+}
+
+/**
+ * Feasibility-only twin of classifyLayout(): no outputs kept. The block
+ * and delta widths are template parameters so the per-block loads and
+ * range checks compile to fixed-width instructions.
+ */
+template <unsigned BaseBytes, unsigned DeltaBytes>
+bool
+layoutFits(const std::uint8_t *line)
+{
+    constexpr unsigned n_blocks = kLineBytes / BaseBytes;
+
+    std::uint64_t base = 0;
+    bool have_base = false;
+
+    for (unsigned i = 0; i < n_blocks; ++i) {
+        const std::uint64_t raw = loadLe(line + i * BaseBytes, BaseBytes);
+        const std::int64_t value = signExtend(raw, 8 * BaseBytes);
+        if (fitsSigned(value, DeltaBytes))
+            continue;
+        if (!have_base) {
+            base = raw;
+            have_base = true;
+        }
+        const std::int64_t delta = signExtend(raw - base, 8 * BaseBytes);
+        if (!fitsSigned(delta, DeltaBytes))
+            return false;
+    }
+    return true;
+}
+
+/** Encoded size of a (base, delta) layout; pure shape arithmetic. */
+constexpr std::uint32_t
+layoutBits(unsigned base_bytes, unsigned delta_bytes)
+{
+    return layoutSizeBits({0, static_cast<std::uint8_t>(base_bytes),
+                           static_cast<std::uint8_t>(delta_bytes)});
+}
+
 } // namespace
 
 BdiCompressor::BdiCompressor(const CompressorTimings &timings)
@@ -120,23 +179,34 @@ BdiCompressor::tryLayout(std::span<const std::uint8_t> line,
     return out.sizeBits < kLineBits;
 }
 
-void
-BdiCompressor::probeLines(std::span<const std::uint8_t> lines,
-                          std::span<LineMeta> out)
+LineMeta
+BdiCompressor::probe(std::span<const std::uint8_t> line)
 {
-    latte_assert(lines.size() == out.size() * kLineBytes);
+    latte_assert(line.size() == kLineBytes);
+    const std::uint8_t *bytes = line.data();
+    if (allZero(bytes))
+        return makeProbedMeta(CompressorId::Bdi, kEncZeros, 8);
+    if (repeated8(bytes))
+        return makeProbedMeta(CompressorId::Bdi, kEncRep8, 64);
 
-    // The layout scan (zero line, repeated qword, then first-fit over
-    // the base+delta layouts in ascending size order) lives in the
-    // backend kernel; hoisting the dispatch out of the loop is what
-    // batching buys.
-    const simd::BdiScanFn scan = activeCompressorBackend().bdiScan;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        const simd::BdiScanResult r =
-            scan(lines.data() + i * kLineBytes);
-        out[i] = makeProbedMeta(CompressorId::Bdi, r.encoding,
-                                r.sizeBits);
-    }
+    // Layout sizes are compile-time constants, so "smallest feasible
+    // layout, ties to the earlier probe" is a first-fit scan in
+    // ascending size order: B8D1 (208), B4D1 (320), B8D2 (336),
+    // B4D2 (576), B8D4 (592), B2D1 (592; loses the tie to B8D4 as it
+    // comes later in the layout table).
+    if (layoutFits<8, 1>(bytes))
+        return makeProbedMeta(CompressorId::Bdi, kEncB8D1, layoutBits(8, 1));
+    if (layoutFits<4, 1>(bytes))
+        return makeProbedMeta(CompressorId::Bdi, kEncB4D1, layoutBits(4, 1));
+    if (layoutFits<8, 2>(bytes))
+        return makeProbedMeta(CompressorId::Bdi, kEncB8D2, layoutBits(8, 2));
+    if (layoutFits<4, 2>(bytes))
+        return makeProbedMeta(CompressorId::Bdi, kEncB4D2, layoutBits(4, 2));
+    if (layoutFits<8, 4>(bytes))
+        return makeProbedMeta(CompressorId::Bdi, kEncB8D4, layoutBits(8, 4));
+    if (layoutFits<2, 1>(bytes))
+        return makeProbedMeta(CompressorId::Bdi, kEncB2D1, layoutBits(2, 1));
+    return makeRawMeta(CompressorId::Bdi);
 }
 
 CompressedLine

@@ -165,23 +165,16 @@ BpcCompressor::BpcCompressor(const CompressorTimings &timings)
       decompressNj_(timings.bpcDecompressNj)
 {}
 
-void
-BpcCompressor::probeLines(std::span<const std::uint8_t> lines,
-                          std::span<LineMeta> out)
+LineMeta
+BpcCompressor::probe(std::span<const std::uint8_t> line)
 {
-    latte_assert(lines.size() == out.size() * kLineBytes);
-
-    // The delta/DBP/DBX pipeline is already plane-parallel inside
-    // encodeLine(); the batch form is a plain loop sharing the API
-    // shape (and the amortised dispatch) with the other compressors.
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        BitCounter counter;
-        encodeLine(lines.subspan(i * kLineBytes, kLineBytes), counter);
-        out[i] = makeProbedMeta(
-            CompressorId::Bpc, 0,
-            static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(counter.bitSize(), kLineBits)));
-    }
+    latte_assert(line.size() == kLineBytes);
+    BitCounter counter;
+    encodeLine(line, counter);
+    return makeProbedMeta(
+        CompressorId::Bpc, 0,
+        static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(counter.bitSize(), kLineBits)));
 }
 
 CompressedLine

@@ -152,35 +152,25 @@ class Compressor
     virtual CompressedLine compress(std::span<const std::uint8_t> line) = 0;
 
     /**
-     * Size-only fast path over a batch: for each of the out.size()
-     * lines concatenated in @p lines (exactly kLineBytes apiece, no
-     * alignment requirement beyond what the caller's buffer gives),
-     * the exact LineMeta compress() would produce — same algo,
-     * encoding, sizeBits and generation — without materialising any
-     * bit stream. Batching is the primitive: it amortises the virtual
-     * dispatch and the backend's SIMD setup across the whole set, so
-     * hot callers (the compressed L1 fill path, the mode-provider
-     * sampler, the throughput bench) should hand over every line they
-     * have rather than loop over probe(). Results are independent per
-     * line and bit-identical across backends and batch sizes. Pinned
-     * to compress() by the ProbeMatchesCompress property test.
+     * Size-only fast path: the exact LineMeta compress() would produce
+     * for @p line — same algo, encoding, sizeBits and generation —
+     * without materialising any bit stream. Pinned to compress() by the
+     * ProbeMatchesCompress property test.
+     */
+    virtual LineMeta probe(std::span<const std::uint8_t> line) = 0;
+
+    /**
+     * probe() over the out.size() lines concatenated in @p lines
+     * (exactly kLineBytes apiece). Results are independent per line.
      *
      * @pre lines.size() == out.size() * kLineBytes.
      */
-    virtual void probeLines(std::span<const std::uint8_t> lines,
-                            std::span<LineMeta> out) = 0;
-
-    /**
-     * Single-line convenience over probeLines() — source-compatible
-     * with the pre-batching interface for external callers; hot paths
-     * should batch.
-     */
-    LineMeta
-    probe(std::span<const std::uint8_t> line)
+    void
+    probeLines(std::span<const std::uint8_t> lines, std::span<LineMeta> out)
     {
-        LineMeta meta;
-        probeLines(line, {&meta, 1});
-        return meta;
+        latte_assert(lines.size() == out.size() * kLineBytes);
+        for (std::size_t i = 0; i < out.size(); ++i)
+            out[i] = probe(lines.subspan(i * kLineBytes, kLineBytes));
     }
 
     /**

@@ -1,6 +1,7 @@
 #include "fpc.hh"
 
-#include "backend.hh"
+#include <bit>
+
 #include "common/logging.hh"
 
 namespace latte
@@ -69,27 +70,88 @@ encodeWords(std::span<const std::uint8_t> line, Sink &sink)
     }
 }
 
+/**
+ * The size-only twin of encodeWords(): the exact FPC encoded bit count
+ * of one kLineBytes line, without the per-word branches.
+ */
+std::uint32_t
+countBits(const std::uint8_t *line)
+{
+    // Bits for one nonzero word. folded == value for positives, ~value
+    // for negatives, so the narrow signed ranges become plain width
+    // thresholds (width 0 is word == 0xffffffff, i.e. kSigned4's -1).
+    const auto classify = [](std::uint32_t word) -> std::uint32_t {
+        const std::uint32_t folded =
+            word ^ static_cast<std::uint32_t>(
+                       static_cast<std::int32_t>(word) >> 31);
+        if (folded < 0x8000) {
+            // kSigned4 (7 bits) below 8, kSigned8 (11) below 128,
+            // kSigned16 (19) below 32768 — flag arithmetic keeps the
+            // narrow band branch-free, with no bit-scan in the chain.
+            return 7 + 4u * (folded > 7) + 8u * (folded > 127);
+        }
+
+        // Branchless pick of the wide classes — which one a noisy word
+        // lands in is data-dependent, so branches here mispredict.
+        // Priority order inverted: later assignments win. The only
+        // overlap (kZeroPadded vs kTwoHalfSigned8 when lo == 0 and hi
+        // is a small signed half) selects 19 bits either way.
+        const std::uint16_t lo = word & 0xffff;
+        const std::uint16_t hi = word >> 16;
+        std::uint32_t wide = 35; // kUncompressed
+        if (word == (word & 0xff) * 0x01010101u)
+            wide = 11; // kRepeatedByte
+        if (fitsSigned(signExtend(lo, 16), 1) &&
+            fitsSigned(signExtend(hi, 16), 1))
+            wide = 19; // kTwoHalfSigned8
+        if (lo == 0)
+            wide = 19; // kZeroPadded
+        return wide;
+    };
+
+    // Single pass: classify every word as it streams by (each word is
+    // one half of a 64-bit load) and collect a map of the zero ones.
+    // Zero words classify as kSigned4 (7 bits); that contribution is
+    // subtracted below and replaced by the zero-run tokens, keeping the
+    // loop free of data-dependent branches.
+    std::uint64_t zero_mask = 0;
+    std::uint32_t bits = 0;
+    for (unsigned k = 0; k < kLineBytes / 8; ++k) {
+        const std::uint64_t pair = loadLe(line + 8 * k, 8);
+        const auto w0 = static_cast<std::uint32_t>(pair);
+        const auto w1 = static_cast<std::uint32_t>(pair >> 32);
+        const std::uint64_t lo_zero = w0 == 0;
+        const std::uint64_t hi_zero = w1 == 0;
+        zero_mask |= (lo_zero | (hi_zero << 1)) << (2 * k);
+        bits += classify(w0) + classify(w1);
+    }
+
+    // Zero runs: a maximal run of L zero words emits ceil(L/8) tokens of
+    // 6 bits each (kZeroRun prefix + 3-bit length), exactly matching
+    // the encoder's greedy up-to-8 scan. The "- 7 * run" retracts the
+    // kSigned4 bits the branch-free loop above charged per zero word.
+    while (zero_mask) {
+        zero_mask >>= std::countr_zero(zero_mask);
+        const unsigned run = std::countr_one(zero_mask);
+        zero_mask >>= run;
+        bits += 6 * static_cast<std::uint32_t>(divCeil(run, 8)) -
+                7 * run;
+    }
+    return bits;
+}
+
 } // namespace
 
 FpcCompressor::FpcCompressor(const CompressorTimings &timings)
     : decompressLat_(timings.fpcDecompress)
 {}
 
-void
-FpcCompressor::probeLines(std::span<const std::uint8_t> lines,
-                          std::span<LineMeta> out)
+LineMeta
+FpcCompressor::probe(std::span<const std::uint8_t> line)
 {
-    latte_assert(lines.size() == out.size() * kLineBytes);
-
-    // The size-only twin of encodeWords() is the backend's word
-    // classifier kernel; test_properties pins probe() == compress()
-    // across all profiles and backends.
-    const simd::FpcCountBitsFn count =
-        activeCompressorBackend().fpcCountBits;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        out[i] = makeProbedMeta(CompressorId::Fpc, 0,
-                                count(lines.data() + i * kLineBytes));
-    }
+    latte_assert(line.size() == kLineBytes);
+    // test_properties pins probe() == compress() across all profiles.
+    return makeProbedMeta(CompressorId::Fpc, 0, countBits(line.data()));
 }
 
 CompressedLine

@@ -24,8 +24,7 @@ class FpcCompressor : public Compressor
     std::string name() const override { return "FPC"; }
 
     CompressedLine compress(std::span<const std::uint8_t> line) override;
-    void probeLines(std::span<const std::uint8_t> lines,
-                    std::span<LineMeta> out) override;
+    LineMeta probe(std::span<const std::uint8_t> line) override;
     void decompressInto(const CompressedLine &line,
                         std::span<std::uint8_t> out) const override;
 

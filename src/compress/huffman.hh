@@ -26,32 +26,6 @@ class HuffmanCode
     /** (symbol value, weight) training pair. */
     using Freq = std::pair<std::uint32_t, std::uint64_t>;
 
-    /** Length-only slot for encodedBitsFast(); bits == 0 marks empty. */
-    struct LenSlot
-    {
-        std::uint32_t symbol = 0;
-        std::uint32_t bits = 0;
-    };
-
-    /**
-     * A borrowed, read-only view of the length-lookup state, in the
-     * exact layout encodedBitsFast() walks: the open-addressing LenSlot
-     * table, the membership filter bitmap and the escape cost. The SIMD
-     * probe kernels take this view so they can batch the hash + table
-     * walk without friending their way into the code book; it stays
-     * valid until the next build(). An invalid/empty book yields
-     * empty == true, where every value costs escapeBits.
-     */
-    struct LengthView
-    {
-        const LenSlot *slots = nullptr;
-        std::uint32_t slotMask = 0;
-        const std::uint64_t *filter = nullptr;
-        std::uint32_t filterMask = 0;
-        std::uint32_t escapeBits = 0; //!< escape prefix + 32 raw bits
-        bool empty = true;
-    };
-
     HuffmanCode() = default;
 
     /**
@@ -119,22 +93,6 @@ class HuffmanCode
         return escapeCode_.length + 32;
     }
 
-    /** Borrow the encodedBitsFast() state for batched/SIMD probing. */
-    LengthView
-    lengthView() const
-    {
-        LengthView view;
-        view.escapeBits = escapeCode_.length + 32;
-        view.empty = lens_.empty();
-        if (!view.empty) {
-            view.slots = lens_.data();
-            view.slotMask = static_cast<std::uint32_t>(lenMask_);
-            view.filter = filter_.data();
-            view.filterMask = static_cast<std::uint32_t>(filterMask_);
-        }
-        return view;
-    }
-
     /** True if @p value has a dedicated code (no escape needed). */
     bool
     hasCode(std::uint32_t value) const
@@ -175,6 +133,13 @@ class HuffmanCode
         std::uint64_t rbits = 0;
         std::uint32_t symbol = 0;
         std::uint32_t length = 0;
+    };
+
+    /** Length-only slot for encodedBitsFast(); bits == 0 marks empty. */
+    struct LenSlot
+    {
+        std::uint32_t symbol = 0;
+        std::uint32_t bits = 0;
     };
 
     /** Membership pre-check; false means "definitely not in the book". */

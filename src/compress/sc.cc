@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "backend.hh"
 #include "common/logging.hh"
 
 namespace latte
@@ -109,36 +108,23 @@ ScCompressor::codeDivergence() const
     return static_cast<double>(missing) / static_cast<double>(top);
 }
 
-void
-ScCompressor::probeLines(std::span<const std::uint8_t> lines,
-                         std::span<LineMeta> out)
+LineMeta
+ScCompressor::probe(std::span<const std::uint8_t> line)
 {
-    latte_assert(lines.size() == out.size() * kLineBytes);
+    latte_assert(line.size() == kLineBytes);
+    if (!codes_.valid())
+        return makeProbedMeta(CompressorId::Sc, 0, kLineBits, generation_);
 
-    if (!codes_.valid()) {
-        for (LineMeta &meta : out)
-            meta = makeProbedMeta(CompressorId::Sc, 0, kLineBits,
-                                  generation_);
-        return;
+    // No per-word early exit: the running size is monotone, so the
+    // total crosses kLineBits iff compress()'s capped stream does, and
+    // both sides then report the same raw line.
+    std::uint32_t bits = 0;
+    for (unsigned off = 0; off < kLineBytes; off += 4) {
+        bits += codes_.encodedBitsFast(
+            static_cast<std::uint32_t>(loadLe(line.data() + off, 4)));
     }
-
-    // No per-word early exit in the kernel: the running size is
-    // monotone, so the total crosses kLineBits iff compress()'s capped
-    // stream does, and both sides then report the same raw line. The
-    // length-table view is borrowed once for the whole batch — the
-    // code book cannot change mid-call.
-    const simd::ScLineBitsFn lineBits =
-        activeCompressorBackend().scLineBits;
-    const HuffmanCode::LengthView view = codes_.lengthView();
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        const std::uint64_t bits =
-            lineBits(lines.data() + i * kLineBytes, view);
-        out[i] = makeProbedMeta(
-            CompressorId::Sc, 0,
-            static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(bits, kLineBits)),
-            generation_);
-    }
+    return makeProbedMeta(CompressorId::Sc, 0, std::min(bits, kLineBits),
+                          generation_);
 }
 
 CompressedLine

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "compress/backend.hh"
 #include "metrics/registry.hh"
 
 namespace latte
@@ -531,16 +530,6 @@ run(const RunRequest &request)
         return RunOutcome::failure(cellError(
             request, RunErrorCode::InvalidConfig,
             strfmt("invalid GpuConfig: {}", *error)));
-    }
-    if (!request.options.compressBackend.empty()) {
-        std::string backend_error;
-        const CompressorBackend *backend = resolveCompressorBackend(
-            request.options.compressBackend, &backend_error);
-        if (!backend) {
-            return RunOutcome::failure(cellError(
-                request, RunErrorCode::InvalidConfig, backend_error));
-        }
-        setCompressorBackend(*backend);
     }
     std::string threads_error;
     const unsigned sim_threads =

@@ -132,21 +132,12 @@ struct DriverOptions
     CacheTuning tuning{};
     std::uint64_t maxInstructionsPerKernel = 50'000'000;
     /**
-     * Compression kernel backend ("auto", "scalar", "sse4", "avx2";
-     * empty keeps the process-wide selection). Execution speed only:
-     * every backend is pinned bit-identical, so this is deliberately
-     * NOT part of the result-cache fingerprint — a cached result is
-     * valid whichever backend computed it.
-     */
-    std::string compressBackend;
-    /**
      * SM-stepping threads inside one run ("auto" = hardware
      * concurrency, a positive integer, or empty = LATTE_SIM_THREADS /
      * default 1). The parallel cycle loop is barrier-synchronous and
-     * bit-identical to sequential, so like compressBackend this is
-     * execution speed only and deliberately NOT part of the
-     * result-cache fingerprint — a cached result is valid whichever
-     * thread count computed it.
+     * bit-identical to sequential, so this is execution speed only and
+     * deliberately NOT part of the result-cache fingerprint — a cached
+     * result is valid whichever thread count computed it.
      */
     std::string simThreads;
 };

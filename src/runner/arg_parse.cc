@@ -8,7 +8,6 @@
 
 #include "common/config.hh"
 #include "common/logging.hh"
-#include "compress/backend.hh"
 #include "sim/thread_pool.hh"
 
 namespace latte::runner
@@ -107,19 +106,6 @@ const ArgSpec kSpecs[] = {
      "suppress stderr progress lines",
      [](SweepCliOptions &o, const std::string &) {
          o.progress = false;
-     }},
-    {"--compress-backend", nullptr, "<name>",
-     "compression kernel backend: auto|scalar|sse4|avx2 (speed only; "
-     "results are bit-identical)",
-     [](SweepCliOptions &o, const std::string &v) {
-         std::string error;
-         const CompressorBackend *backend =
-             resolveCompressorBackend(v, &error);
-         if (!backend)
-             latte_fatal("--compress-backend: {}\n{}", error,
-                         sweepArgsUsage());
-         setCompressorBackend(*backend);
-         o.compressBackend = v;
      }},
     {"--l2-compress", nullptr, "<off|static:algo|latte>",
      "compressed L2: store lines compressed with a fixed algorithm "

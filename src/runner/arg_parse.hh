@@ -25,8 +25,6 @@
  *   --profile             enable the wall-clock zone self-profiler
  *   --bench-out PATH      write an end-to-end throughput report JSON
  *   --no-progress         suppress the stderr progress/ETA lines
- *   --compress-backend B  compression kernel backend
- *                         (auto|scalar|sse4|avx2; speed only)
  *   --sim-threads N       SM-stepping threads inside each run
  *                         (count or "auto"; speed only)
  *   --log-level L         stderr log threshold
@@ -65,23 +63,16 @@ struct SweepCliOptions
     std::string benchOut;    //!< empty = no throughput report
     bool progress = true;
     /**
-     * Compression kernel backend (auto|scalar|sse4|avx2). Applied
-     * process-wide at parse time and recorded in DriverOptions for the
-     * result envelopes; bit-identical results either way, so it is not
-     * part of the result-cache key. Empty = auto.
-     */
-    std::string compressBackend;
-    /**
      * SM-stepping threads inside each run ("auto", a positive count, or
      * empty = LATTE_SIM_THREADS / default 1). The parallel cycle loop
-     * is bit-identical to sequential, so like compressBackend this is
-     * speed only and not part of the result-cache key.
+     * is bit-identical to sequential, so this is speed only and not
+     * part of the result-cache key.
      */
     std::string simThreads;
     /**
-     * Compressed-L2 spec ("off", "static:<algo>", "latte"). Unlike the
-     * two knobs above this one changes simulated behaviour: the Sweep
-     * ctor applies it to the default DriverOptions, and it reaches the
+     * Compressed-L2 spec ("off", "static:<algo>", "latte"). Unlike
+     * simThreads this one changes simulated behaviour: the Sweep ctor
+     * applies it to the default DriverOptions, and it reaches the
      * RunKey fingerprint through the config JSON (emitted only when
      * not "off", so existing fingerprints are untouched). Empty =
      * leave the defaults alone.

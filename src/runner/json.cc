@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "common/logging.hh"
-#include "compress/backend.hh"
 #include "compress/compressor.hh"
 
 namespace latte::runner
@@ -832,16 +831,11 @@ toJson(const RunOutcome &outcome)
     }
 
     object["status"] = Json(runStatusName(outcome.status));
-    // Metadata only: which SIMD backend the compressors dispatched to.
-    // Not part of the cell fingerprint (results are bit-identical
-    // across backends), so fromJson() does not require or restore it.
-    object["compressBackend"] =
-        Json(std::string(activeCompressorBackend().name));
-    // Metadata only, like compressBackend: how many SM-stepping threads
-    // the run resolved to. Not part of the cell fingerprint (every
-    // thread count is bit-identical); fromJson() restores it when
-    // present so a cache-served cell reports the thread count of the
-    // run that actually computed it.
+    // Metadata only: how many SM-stepping threads the run resolved
+    // to. Not part of the cell fingerprint (every thread count is
+    // bit-identical); fromJson() restores it when present so a
+    // cache-served cell reports the thread count of the run that
+    // actually computed it.
     object["simThreads"] =
         Json(static_cast<std::uint64_t>(outcome.simThreads));
     object["error"] =
@@ -1072,12 +1066,11 @@ toJson(const DriverOptions &options)
          })},
         {"maxInstructionsPerKernel",
          Json(options.maxInstructionsPerKernel)},
-        // options.compressBackend and options.simThreads are
-        // deliberately absent: this JSON is the result-cache
-        // fingerprint (RunKey.configHash), and every backend and every
-        // SM-stepping thread count produce bit-identical results, so a
-        // cached result must stay valid whichever computed it. Both
-        // reach the sweep envelope via the RunOutcome JSON instead.
+        // options.simThreads is deliberately absent: this JSON is the
+        // result-cache fingerprint (RunKey.configHash), and every
+        // SM-stepping thread count produces bit-identical results, so
+        // a cached result must stay valid whichever computed it. It
+        // reaches the sweep envelope via the RunOutcome JSON instead.
     });
 }
 

@@ -48,11 +48,6 @@ Sweep::Sweep(SweepCliOptions cli, DriverOptions defaults)
 {
     if (cli.profile)
         metrics::setProfilerEnabled(true);
-    // --compress-backend already switched the process-wide dispatch at
-    // parse time; recording it here makes every cell's result envelope
-    // carry the name (it is not part of the result-cache key).
-    if (!cli.compressBackend.empty())
-        defaults_.compressBackend = cli.compressBackend;
     // --l2-compress / --link-compress change simulated behaviour (and
     // thus the cell fingerprints, via the config JSON); both were
     // syntax-validated at parse time.

@@ -4,7 +4,6 @@
 #include <string_view>
 
 #include "common/logging.hh"
-#include "compress/backend.hh"
 #include "sim/thread_pool.hh"
 #include "workloads/zoo.hh"
 
@@ -177,28 +176,14 @@ const OptionEntry kOptionTable[] = {
          }
          return true;
      }},
-    {"compress_backend",
-     [](DriverOptions &o, const Json &v, std::string *e) {
-         if (v.type() != Json::Type::String)
-             return setError(e, "compress_backend: expected a string");
-         // Validated against the backend registry here so a backend
-         // this host lacks fails at submit time, not per cell. The
-         // resolved backend is execution speed only (bit-identical
-         // results) and is excluded from the RunKey fingerprint.
-         std::string resolve_error;
-         if (!resolveCompressorBackend(v.asString(), &resolve_error))
-             return setError(e, "compress_backend: " + resolve_error);
-         o.compressBackend = v.asString();
-         return true;
-     }},
     {"sim_threads",
      [](DriverOptions &o, const Json &v, std::string *e) {
          if (v.type() != Json::Type::String)
              return setError(e, "sim_threads: expected a string");
          // Validated here so a bad spelling fails at submit time, not
          // per cell. The parallel cycle loop is bit-identical to
-         // sequential, so like compress_backend this is execution
-         // speed only and excluded from the RunKey fingerprint.
+         // sequential, so this is execution speed only and excluded
+         // from the RunKey fingerprint.
          std::string resolve_error;
          if (resolveSimThreads(v.asString(), &resolve_error) == 0)
              return setError(e, "sim_threads: " + resolve_error);

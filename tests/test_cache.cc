@@ -305,6 +305,13 @@ TEST_F(CacheFixture, PerSetSubBlockCounterTracksTagWalk)
     if (write.hit)
         check_all("after write invalidation");
 
+    // Conservation: every inserted line was evicted, invalidated by a
+    // write or a code rebuild, or is still resident.
+    EXPECT_EQ(cache.insertions.count(),
+              cache.evictions.count() + cache.writeInvalidations.count() +
+                  cache.scGenerationInvalidations.count() +
+                  cache.validLines());
+
     cache.invalidateAll();
     check_all("after invalidateAll");
     for (std::uint32_t set = 0; set < cache.numSets(); ++set)

@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -222,6 +224,69 @@ TEST(L2Compress, WritesInvalidateAndRefillRaw)
     h.l2.access(2000, 0x40000, true);
     EXPECT_EQ(h.l2.compressStats()->insertions.value(), 3u);
     EXPECT_EQ(h.l2.compressStats()->compressedInsertions.value(), 1u);
+}
+
+TEST(L2Compress, SubBlocksAndLinesAreConservedUnderChurn)
+{
+    // Conservation laws of the compressed L2: every set's incremental
+    // sub-block counter matches the tag walk and never exceeds the
+    // set's data capacity, and every inserted line is either evicted,
+    // invalidated by a write, or still resident.
+    L2Harness h(smallL2Config(LevelCompress::Static, CompressorId::Bdi));
+    const CompressionDomain *domain = h.l2.domain();
+    ASSERT_NE(domain, nullptr);
+    const auto *stats = h.l2.compressStats();
+
+    const std::uint32_t line = h.cfg.l2.lineBytes;
+    const std::uint32_t sets = h.cfg.l2.numSets();
+    constexpr unsigned kHotSets = 4;
+    constexpr unsigned kTagsPerHotSet = 24; // well past the 4x tag array
+
+    // Even tags hold small-delta integers (BDI-compressible), odd tags
+    // random bytes (stored raw), so evictions free both shapes.
+    std::mt19937_64 rng(5);
+    std::vector<Addr> addrs;
+    for (unsigned tag = 0; tag < kTagsPerHotSet; ++tag) {
+        for (unsigned set = 0; set < kHotSets; ++set) {
+            const Addr addr =
+                (static_cast<Addr>(tag) * sets + set) * line;
+            std::vector<std::uint8_t> bytes(line);
+            const std::uint32_t base = static_cast<std::uint32_t>(rng());
+            for (std::uint32_t off = 0; off < line; off += 4) {
+                const std::uint32_t word =
+                    tag % 2 ? static_cast<std::uint32_t>(rng())
+                            : base + static_cast<std::uint32_t>(rng() % 64);
+                std::memcpy(bytes.data() + off, &word, 4);
+            }
+            h.mem.writeBytes(addr, bytes);
+            addrs.push_back(addr);
+        }
+    }
+
+    Cycles now = 0;
+    for (unsigned step = 0; step < 600; ++step) {
+        const Addr addr = addrs[rng() % addrs.size()];
+        h.l2.access(now, addr, rng() % 5 == 0);
+        now += 200;
+        for (std::uint32_t set = 0; set < domain->numSets(); ++set) {
+            ASSERT_EQ(domain->usedSubBlocksCounter(set),
+                      domain->usedSubBlocksInSet(set))
+                << "step " << step << ", set " << set;
+            ASSERT_LE(domain->usedSubBlocksCounter(set),
+                      domain->subBlocksPerSet())
+                << "step " << step << ", set " << set;
+        }
+    }
+
+    // The churn must have exercised every way a line leaves.
+    EXPECT_GT(stats->evictions.count(), 0u);
+    EXPECT_GT(stats->writeInvalidations.count(), 0u);
+    EXPECT_GT(stats->compressedInsertions.count(), 0u);
+    EXPECT_LT(stats->compressedInsertions.count(),
+              stats->insertions.count());
+    EXPECT_EQ(stats->insertions.count(),
+              stats->evictions.count() + stats->writeInvalidations.count() +
+                  domain->validLines());
 }
 
 TEST(L2Compress, LinkCompressionShrinksTransfersAndMissLatency)

@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "cache/compressed_cache.hh"
 #include "common/ep_clock.hh"
-#include "compress/backend.hh"
 #include "compress/factory.hh"
 #include "compress/sc.hh"
 #include "workloads/value_gens.hh"
@@ -179,9 +181,7 @@ TEST_P(CompressionInvariants, ProbeMatchesCompress)
     // The size-only probes are hand-tuned twins of the full encoders
     // (BDI's first-fit layout scan, FPC's fused classifier, SC's flat
     // length table), so this equivalence is load-bearing: insertLine()
-    // trusts probe() for every placement decision. compress() is always
-    // scalar, so sweeping the dispatch tiers here also pins every SIMD
-    // kernel to the scalar encoding.
+    // trusts probe() for every placement decision.
     auto gen = makeGen();
     const auto check = [&](Compressor &engine, unsigned lines) {
         for (unsigned i = 0; i < lines; ++i) {
@@ -200,46 +200,94 @@ TEST_P(CompressionInvariants, ProbeMatchesCompress)
         }
     };
 
-    const CompressorBackend *entry_backend = &activeCompressorBackend();
-    for (const CompressorBackend &backend : compressorBackends()) {
-        if (!compressorBackendSupported(backend))
+    for (const CompressorId id : allCompressorIds()) {
+        auto engine = makeCompressor(id);
+        if (id != CompressorId::Sc) {
+            check(*engine, 64);
             continue;
-        setCompressorBackend(backend);
-        for (const CompressorId id : allCompressorIds()) {
-            auto engine = makeCompressor(id);
-            if (id != CompressorId::Sc) {
-                check(*engine, 64);
-                continue;
-            }
-
-            // SC changes behaviour with its Huffman generation:
-            // exercise the untrained book, a trained one, and a rebuild
-            // over a different sample window (different codes, bumped
-            // generation).
-            auto *sc = static_cast<ScCompressor *>(engine.get());
-            check(*engine, 16);
-            std::array<std::uint8_t, 128> line;
-            for (unsigned i = 0; i < 64; ++i) {
-                gen->generate(i * 128, line);
-                sc->trainLine(line);
-            }
-            sc->rebuildCodes();
-            check(*engine, 64);
-            for (unsigned i = 64; i < 96; ++i) {
-                gen->generate(i * 128, line);
-                sc->trainLine(line);
-            }
-            sc->rebuildCodes();
-            check(*engine, 64);
         }
+
+        // SC changes behaviour with its Huffman generation: exercise
+        // the untrained book, a trained one, and a rebuild over a
+        // different sample window (different codes, bumped generation).
+        auto *sc = static_cast<ScCompressor *>(engine.get());
+        check(*engine, 16);
+        std::array<std::uint8_t, 128> line;
+        for (unsigned i = 0; i < 64; ++i) {
+            gen->generate(i * 128, line);
+            sc->trainLine(line);
+        }
+        sc->rebuildCodes();
+        check(*engine, 64);
+        for (unsigned i = 64; i < 96; ++i) {
+            gen->generate(i * 128, line);
+            sc->trainLine(line);
+        }
+        sc->rebuildCodes();
+        check(*engine, 64);
     }
-    setCompressorBackend(*entry_backend);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Profiles, CompressionInvariants,
     ::testing::Combine(::testing::Range(0, 7),
                        ::testing::Values(11ull, 222ull, 3333ull)));
+
+TEST(CompressionInvariants, ProbeLinesMatchesProbe)
+{
+    // probeLines() is the batch entry point the per-layer replay in
+    // perfbench/ uses; it must agree line for line with probe() for
+    // every algorithm and, for SC, every code-book state.
+    using Line = std::array<std::uint8_t, kLineBytes>;
+    const std::vector<std::shared_ptr<LineGenerator>> gens = {
+        std::make_shared<ZeroGen>(),
+        std::make_shared<RandomGen>(17),
+        std::make_shared<IntArrayGen>(18, 1000, 3, 5),
+        std::make_shared<IntArrayGen>(19, 5, 60000, 0),
+        std::make_shared<PaletteGen>(20, 48, true, 1.2, 0.2),
+        std::make_shared<PointerArrayGen>(21, 0x7f0000000000ull, 1 << 20),
+        std::make_shared<FloatNoiseGen>(22, 1.0f, 0.8f),
+    };
+    std::vector<Line> corpus(96);
+    for (unsigned i = 0; i < corpus.size(); ++i)
+        gens[i % gens.size()]->generate(i * kLineBytes, corpus[i]);
+    const std::span<const std::uint8_t> flat(corpus.front().data(),
+                                             corpus.size() * kLineBytes);
+
+    const auto check = [&](Compressor &engine, const char *state) {
+        std::vector<LineMeta> batched(corpus.size());
+        engine.probeLines(flat, batched);
+        for (std::size_t i = 0; i < corpus.size(); ++i) {
+            const LineMeta single = engine.probe(corpus[i]);
+            const std::string where =
+                std::string(compressorName(engine.id())) + " " + state +
+                " line " + std::to_string(i);
+            ASSERT_EQ(batched[i].algo, single.algo) << where;
+            ASSERT_EQ(batched[i].encoding, single.encoding) << where;
+            ASSERT_EQ(batched[i].sizeBits, single.sizeBits) << where;
+            ASSERT_EQ(batched[i].generation, single.generation) << where;
+        }
+    };
+
+    for (const CompressorId id : allCompressorIds()) {
+        auto engine = makeCompressor(id);
+        if (id != CompressorId::Sc) {
+            check(*engine, "stateless");
+            continue;
+        }
+        auto *sc = static_cast<ScCompressor *>(engine.get());
+        check(*engine, "untrained");
+        for (unsigned i = 0; i < corpus.size() / 2; ++i)
+            sc->trainLine(corpus[i]);
+        sc->rebuildCodes();
+        check(*engine, "trained");
+        for (unsigned i = corpus.size() / 2; i < corpus.size(); ++i)
+            sc->trainLine(corpus[i]);
+        sc->rebuildCodes();
+        check(*engine, "rebuilt");
+        EXPECT_EQ(sc->generation(), 2u);
+    }
+}
 
 // ----------------------------------------- EP parameter sweep (LATTE)
 

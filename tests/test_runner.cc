@@ -297,10 +297,9 @@ TEST(Runner, SimThreadsAreBitIdentical)
 
 TEST(Runner, RunKeyIgnoresSimThreads)
 {
-    // Like compressBackend, simThreads is execution speed only: every
-    // thread count produces bit-identical results, so a cached cell is
-    // valid whichever count computed it and the fingerprint must not
-    // split on the knob.
+    // simThreads is execution speed only: every thread count produces
+    // bit-identical results, so a cached cell is valid whichever count
+    // computed it and the fingerprint must not split on the knob.
     const Workload *workload = findWorkload("KM");
     ASSERT_NE(workload, nullptr);
 
@@ -658,6 +657,27 @@ TEST(Runner, InvalidSpecsAreRejected)
         EXPECT_NE(error.find("unknown key '" + std::string(key) + "'"),
                   std::string::npos)
             << error;
+    }
+
+    // The retired compress_backend knob parses as a spec but must fail
+    // validation, as an option and as an axis alike.
+    const char *const retired[] = {
+        R"({"workloads": ["KM"], "policies": ["Baseline"],
+            "options": {"compress_backend": "scalar"}})",
+        R"({"workloads": ["KM"], "policies": ["Baseline"],
+            "axes": [{"key": "compress_backend",
+                      "values": ["scalar", "auto"]}]})",
+    };
+    for (const char *text : retired) {
+        std::string error;
+        const Json json = Json::parse(text, &error);
+        ASSERT_TRUE(error.empty()) << error;
+        SweepSpec parsed;
+        ASSERT_TRUE(SweepSpec::fromJson(json, parsed, &error)) << error;
+        EXPECT_NE(parsed.validate().find(
+                      "unknown option key 'compress_backend'"),
+                  std::string::npos)
+            << text;
     }
 }
 
