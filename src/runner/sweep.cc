@@ -26,6 +26,7 @@ toRunnerOptions(const SweepCliOptions &cli)
         .threads = cli.jobs,
         .cacheDir = cli.cacheDir,
         .progress = cli.progress,
+        .diagnosticsDir = {},
         .journalPath = cli.resumePath,
         .cellTimeoutMs = cli.cellTimeoutMs,
         .cellCycleBudget = cli.cellCycleBudget,

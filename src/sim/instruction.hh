@@ -11,10 +11,13 @@
 #ifndef LATTE_SIM_INSTRUCTION_HH
 #define LATTE_SIM_INSTRUCTION_HH
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace latte
@@ -30,14 +33,58 @@ enum class Op : std::uint8_t
     Exit,   //!< warp terminates
 };
 
+/**
+ * Per-lane byte addresses of one warp instruction, stored inline so a
+ * fetch allocates nothing. Holds up to one address per lane.
+ */
+class LaneAddrs
+{
+  public:
+    static constexpr std::size_t kCapacity = 32;
+
+    using iterator = Addr *;
+    using const_iterator = const Addr *;
+
+    std::size_t size() const { return size_; }
+
+    /** Set the lane count; the caller writes every lane it adds. */
+    void
+    resize(std::size_t n)
+    {
+        latte_assert(n <= kCapacity);
+        size_ = static_cast<std::uint8_t>(n);
+    }
+
+    Addr &operator[](std::size_t i) { return addrs_[i]; }
+    Addr operator[](std::size_t i) const { return addrs_[i]; }
+
+    iterator begin() { return addrs_.data(); }
+    iterator end() { return addrs_.data() + size_; }
+    const_iterator begin() const { return addrs_.data(); }
+    const_iterator end() const { return addrs_.data() + size_; }
+
+    friend bool
+    operator==(const LaneAddrs &a, const LaneAddrs &b)
+    {
+        return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    }
+
+  private:
+    std::array<Addr, kCapacity> addrs_{};
+    std::uint8_t size_ = 0;
+};
+
 /** One decoded warp instruction. */
 struct DecodedInstr
 {
     Op op = Op::Exit;
     /** Completion latency for Alu/Sfu. */
     Cycles latency = 1;
-    /** Per-lane byte addresses for Load/Store; empty entries = inactive. */
-    std::vector<Addr> laneAddrs;
+    /**
+     * Per-lane byte addresses: one per lane for Load/Store, none for
+     * the other ops. An inactive lane holds kBadAddr.
+     */
+    LaneAddrs laneAddrs;
 };
 
 /**

@@ -20,6 +20,17 @@
 namespace latte
 {
 
+/** What one WarpScheduler::pick pass found. */
+struct SchedulerPick
+{
+    /** Slot of the warp to issue, or -1 if none is ready. */
+    int slot = -1;
+    /** Warps that could issue this cycle. */
+    std::uint32_t ready = 0;
+    /** Earliest readyAt among sleeping warps; kNoCycle if none. */
+    Cycles wake = kNoCycle;
+};
+
 /** One of an SM's warp schedulers; owns a subset of the warp slots. */
 class WarpScheduler
 {
@@ -36,50 +47,55 @@ class WarpScheduler
     const std::vector<std::uint32_t> &slots() const { return slots_; }
 
     /**
-     * Count ready warps and pick the one to issue this cycle.
+     * One pass over this scheduler's warps: count the ready ones, pick
+     * the one to issue this cycle, and find the earliest future cycle a
+     * sleeping one becomes ready.
      * @param warps the SM's full warp array
-     * @param ready_count out: warps that could issue this cycle
-     * @return slot of the selected warp, or -1 if none is ready
      */
-    int
-    pick(std::span<const Warp> warps, Cycles now,
-         std::uint32_t &ready_count) const
+    SchedulerPick
+    pick(std::span<const Warp> warps, Cycles now) const
     {
-        ready_count = 0;
-        int best = -1;
+        SchedulerPick out;
+        const auto note_sleeper = [&](const Warp &warp) {
+            if (warp.sleeping(now) && warp.readyAt < out.wake)
+                out.wake = warp.readyAt;
+        };
         if (policy_ == GpuConfig::SchedPolicy::GTO) {
             std::uint64_t best_age = ~std::uint64_t{0};
             bool greedy_ready = false;
             for (const std::uint32_t slot : slots_) {
                 const Warp &warp = warps[slot];
-                if (!warp.ready(now))
+                if (!warp.ready(now)) {
+                    note_sleeper(warp);
                     continue;
-                ++ready_count;
+                }
+                ++out.ready;
                 if (static_cast<int>(slot) == greedy_) {
                     greedy_ready = true;
                 } else if (warp.age < best_age) {
                     best_age = warp.age;
-                    best = static_cast<int>(slot);
+                    out.slot = static_cast<int>(slot);
                 }
             }
             if (greedy_ready)
-                return greedy_;
-            return best;
+                out.slot = greedy_;
+            return out;
         }
 
         // LRR: next ready slot after the last issued one, in slot order.
         const std::size_t n = slots_.size();
-        int first_ready = -1;
         for (std::size_t k = 0; k < n; ++k) {
-            const std::uint32_t slot =
-                slots_[(rrNext_ + k) % n];
-            if (warps[slot].ready(now)) {
-                ++ready_count;
-                if (first_ready < 0)
-                    first_ready = static_cast<int>(slot);
+            const std::uint32_t slot = slots_[(rrNext_ + k) % n];
+            const Warp &warp = warps[slot];
+            if (!warp.ready(now)) {
+                note_sleeper(warp);
+                continue;
             }
+            ++out.ready;
+            if (out.slot < 0)
+                out.slot = static_cast<int>(slot);
         }
-        return first_ready;
+        return out;
     }
 
     /** Record the issue decision (updates greedy/rotation state). */
@@ -93,19 +109,6 @@ class WarpScheduler
                 break;
             }
         }
-    }
-
-    /** Earliest future cycle a warp of this scheduler becomes ready. */
-    Cycles
-    nextWake(std::span<const Warp> warps, Cycles now) const
-    {
-        Cycles wake = kNoCycle;
-        for (const std::uint32_t slot : slots_) {
-            const Warp &warp = warps[slot];
-            if (warp.sleeping(now) && warp.readyAt < wake)
-                wake = warp.readyAt;
-        }
-        return wake;
     }
 
   private:

@@ -1,6 +1,8 @@
 #include "sm.hh"
 
 #include <algorithm>
+#include <array>
+#include <span>
 
 #include "common/logging.hh"
 #include "metrics/profiler.hh"
@@ -11,20 +13,30 @@ namespace latte
 namespace
 {
 
-/** Coalesce per-lane addresses into unique 128 B line addresses. */
-std::vector<Addr>
-coalesce(const std::vector<Addr> &lane_addrs)
+/** Room for one line per lane: the most a warp access can touch. */
+using LineBuffer = std::array<Addr, LaneAddrs::kCapacity>;
+
+/**
+ * Coalesce per-lane addresses into the sorted unique 128 B lines they
+ * touch, written into @p lines. Adjacent lanes mostly share a line, so
+ * a repeat of the previous line is dropped before the sort.
+ */
+std::span<const Addr>
+coalesce(const LaneAddrs &lane_addrs, LineBuffer &lines)
 {
-    std::vector<Addr> lines;
-    lines.reserve(lane_addrs.size());
+    std::size_t n = 0;
     for (const Addr addr : lane_addrs) {
         if (addr == kBadAddr)
             continue;
-        lines.push_back(MemoryImage::lineAddr(addr));
+        const Addr line = MemoryImage::lineAddr(addr);
+        if (n == 0 || lines[n - 1] != line)
+            lines[n++] = line;
     }
-    std::sort(lines.begin(), lines.end());
-    lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
-    return lines;
+    const auto first = lines.begin();
+    std::sort(first, first + n);
+    return {lines.data(),
+            static_cast<std::size_t>(std::unique(first, first + n) -
+                                     first)};
 }
 
 } // namespace
@@ -143,27 +155,28 @@ StreamingMultiprocessor::tick(Cycles now)
 Cycles
 StreamingMultiprocessor::issueAndNext(Cycles now)
 {
-    bool issued = false;
-    for (auto &sched : schedulers_) {
-        std::uint32_t ready = 0;
-        const int slot = sched.pick(warps_, now, ready);
-        meter_.accumulate(ready);
-        if (slot >= 0) {
-            sched.noteIssued(static_cast<std::uint32_t>(slot));
-            meter_.noteIssue(sched.id(),
-                             static_cast<std::uint32_t>(slot));
-            issueWarp(warps_[slot], now);
-            issued = true;
-        }
-    }
-
+    // Each pick also reports its sleeping warps' earliest wake. Within
+    // this phase only the issued warp can change among the warps that
+    // may sleep (finishWarp frees Finished warps only, and the LSU has
+    // already ticked), so adding its new readyAt keeps the wake exact.
     Cycles next = kNoCycle;
-    if (issued)
-        next = now + 1;
+    for (auto &sched : schedulers_) {
+        const SchedulerPick pick = sched.pick(warps_, now);
+        meter_.accumulate(pick.ready);
+        next = std::min(next, pick.wake);
+        if (pick.slot < 0)
+            continue;
+        const auto slot = static_cast<std::uint32_t>(pick.slot);
+        sched.noteIssued(slot);
+        meter_.noteIssue(sched.id(), slot);
+        Warp &warp = warps_[slot];
+        issueWarp(warp, now);
+        next = std::min(next, now + 1);
+        if (warp.sleeping(now))
+            next = std::min(next, warp.readyAt);
+    }
     if (lsu_.busy())
         next = std::min(next, lsu_.nextEvent(now));
-    for (const auto &sched : schedulers_)
-        next = std::min(next, sched.nextWake(warps_, now));
     return next;
 }
 
@@ -282,7 +295,8 @@ StreamingMultiprocessor::issueWarp(Warp &warp, Cycles now)
         ++instructions;
         ++memInstructions;
         ++warp.pc;
-        const auto lines = coalesce(instr.laneAddrs);
+        LineBuffer buffer{};
+        const auto lines = coalesce(instr.laneAddrs, buffer);
         if (lines.empty()) {
             warp.readyAt = now + 1;
             return;
@@ -300,7 +314,8 @@ StreamingMultiprocessor::issueWarp(Warp &warp, Cycles now)
         ++instructions;
         ++memInstructions;
         ++warp.pc;
-        const auto lines = coalesce(instr.laneAddrs);
+        LineBuffer buffer{};
+        const auto lines = coalesce(instr.laneAddrs, buffer);
         if (!lines.empty())
             lsu_.enqueueStore(lines);
         // Write-avoid: the warp does not wait for stores.

@@ -81,97 +81,81 @@ SyntheticKernel::fillLaneAddrs(DecodedInstr &instr, const Pattern &pattern,
                                std::uint64_t iter,
                                std::uint32_t mem_idx) const
 {
-    instr.laneAddrs.resize(kWarpLanes);
-    for (std::uint32_t lane = 0; lane < kWarpLanes; ++lane) {
-        instr.laneAddrs[lane] =
-            laneAddr(pattern, global_warp, iter, mem_idx, lane);
-    }
-}
+    LaneAddrs &addrs = instr.laneAddrs;
+    addrs.resize(kWarpLanes);
 
-Addr
-SyntheticKernel::laneAddr(const Pattern &pattern,
-                          std::uint32_t global_warp, std::uint64_t iter,
-                          std::uint32_t mem_idx, std::uint32_t lane) const
-{
-    const std::uint32_t cta = global_warp / spec_.warpsPerCta;
-    const std::uint64_t h =
-        mixHash(spec_.seed + mem_idx * 0x1000193u,
-                (static_cast<std::uint64_t>(global_warp) << 24) ^ iter);
-
-    switch (pattern.kind) {
-      case PatternKind::Streaming: {
+    if (pattern.kind == PatternKind::Streaming) {
+        // Consecutive threads read consecutive elements.
         const std::uint64_t total_threads =
             static_cast<std::uint64_t>(spec_.ctas) * spec_.warpsPerCta *
             kWarpLanes;
-        const std::uint64_t tid =
-            static_cast<std::uint64_t>(global_warp) * kWarpLanes + lane;
-        const std::uint64_t idx =
-            (tid + iter * total_threads + mem_idx * 977) *
-            pattern.elemBytes;
-        return pattern.base + idx % pattern.sizeBytes;
-      }
+        const std::uint64_t first =
+            static_cast<std::uint64_t>(global_warp) * kWarpLanes +
+            iter * total_threads + mem_idx * 977;
+        for (std::uint32_t lane = 0; lane < kWarpLanes; ++lane) {
+            addrs[lane] = pattern.base +
+                          (first + lane) * pattern.elemBytes %
+                              pattern.sizeBytes;
+        }
+        return;
+    }
 
-      case PatternKind::HotReuse: {
-        const std::uint64_t slices =
-            std::max<std::uint64_t>(1,
-                                    pattern.sizeBytes /
-                                        pattern.sliceBytes);
-        const std::uint64_t slice_off =
-            (cta % slices) * pattern.sliceBytes;
-        const bool hot =
-            (h % 1024) <
-            static_cast<std::uint64_t>(pattern.hotFraction * 1024.0);
-        const std::uint64_t span =
-            std::max<std::uint64_t>(kLine,
-                                    hot ? pattern.hotBytes
-                                        : pattern.sliceBytes);
-        const std::uint64_t line_idx =
-            mixHash(h, 0x51u) % (span / kLine);
-        return pattern.base + slice_off + line_idx * kLine +
-               (lane * 4) % kLine;
-      }
+    // The other patterns stay inside the CTA's slice and give each
+    // lane a 4 B word of a line picked once per warp (or per divergent
+    // lane group), so the hashing is per instruction, not per lane.
+    const std::uint32_t cta = global_warp / spec_.warpsPerCta;
+    const std::uint64_t slices =
+        std::max<std::uint64_t>(1, pattern.sizeBytes / pattern.sliceBytes);
+    const Addr slice_base =
+        pattern.base + (cta % slices) * pattern.sliceBytes;
+    const auto fill = [&](Addr line, std::uint32_t lane_begin,
+                          std::uint32_t lane_end) {
+        for (std::uint32_t lane = lane_begin; lane < lane_end; ++lane)
+            addrs[lane] = line + (lane * 4) % kLine;
+    };
 
-      case PatternKind::Irregular: {
-        const std::uint64_t slices =
-            std::max<std::uint64_t>(1,
-                                    pattern.sizeBytes /
-                                        pattern.sliceBytes);
-        const std::uint64_t slice_off =
-            (cta % slices) * pattern.sliceBytes;
-        const std::uint32_t lanes_per_group = std::max<std::uint32_t>(
-            1, kWarpLanes / std::max<std::uint32_t>(
-                   1, pattern.divergentLanes));
-        const std::uint32_t group = lane / lanes_per_group;
-        const std::uint64_t hg = mixHash(h, group + 11);
-        const bool hot =
-            (hg % 1024) <
-            static_cast<std::uint64_t>(pattern.hotFraction * 1024.0);
-        const std::uint64_t span =
-            std::max<std::uint64_t>(kLine,
-                                    hot ? pattern.hotBytes
-                                        : pattern.sliceBytes);
-        const std::uint64_t line_idx = mixHash(hg, 0x7fu) % (span / kLine);
-        return pattern.base + slice_off + line_idx * kLine +
-               (lane * 4) % kLine;
-      }
-
-      case PatternKind::Tiled: {
-        const std::uint64_t slices =
-            std::max<std::uint64_t>(1,
-                                    pattern.sizeBytes /
-                                        pattern.sliceBytes);
-        const std::uint64_t slice_off =
-            (cta % slices) * pattern.sliceBytes;
+    if (pattern.kind == PatternKind::Tiled) {
         const std::uint64_t lines_in_slice =
             std::max<std::uint64_t>(1, pattern.sliceBytes / kLine);
         const std::uint64_t line_idx =
             (iter + mem_idx * 7 +
              (global_warp % spec_.warpsPerCta) * 3) % lines_in_slice;
-        return pattern.base + slice_off + line_idx * kLine +
-               (lane * 4) % kLine;
-      }
+        fill(slice_base + line_idx * kLine, 0, kWarpLanes);
+        return;
     }
-    latte_panic("unknown pattern kind");
+
+    latte_assert(pattern.kind == PatternKind::HotReuse ||
+                 pattern.kind == PatternKind::Irregular);
+    const std::uint64_t h =
+        mixHash(spec_.seed + mem_idx * 0x1000193u,
+                (static_cast<std::uint64_t>(global_warp) << 24) ^ iter);
+    const auto hot_threshold =
+        static_cast<std::uint64_t>(pattern.hotFraction * 1024.0);
+    const auto pick_line = [&](std::uint64_t hash, std::uint64_t salt) {
+        const bool hot = (hash % 1024) < hot_threshold;
+        const std::uint64_t span =
+            std::max<std::uint64_t>(kLine,
+                                    hot ? pattern.hotBytes
+                                        : pattern.sliceBytes);
+        return slice_base + mixHash(hash, salt) % (span / kLine) * kLine;
+    };
+
+    if (pattern.kind == PatternKind::HotReuse) {
+        fill(pick_line(h, 0x51u), 0, kWarpLanes);
+        return;
+    }
+
+    // Irregular: lanes split into groups of lanes_per_group, each on
+    // its own line; the last group is short when the size does not
+    // divide the warp.
+    const std::uint32_t lanes_per_group = std::max<std::uint32_t>(
+        1, kWarpLanes / std::max<std::uint32_t>(1, pattern.divergentLanes));
+    for (std::uint32_t lane = 0, group = 0; lane < kWarpLanes;
+         lane += lanes_per_group, ++group) {
+        const std::uint64_t hg = mixHash(h, group + 11);
+        fill(pick_line(hg, 0x7fu), lane,
+             std::min(lane + lanes_per_group, kWarpLanes));
+    }
 }
 
 } // namespace latte

@@ -89,10 +89,6 @@ class SyntheticKernel : public KernelProgram
     const KernelSpec &spec() const { return spec_; }
 
   private:
-    Addr laneAddr(const Pattern &pattern, std::uint32_t global_warp,
-                  std::uint64_t iter, std::uint32_t mem_idx,
-                  std::uint32_t lane) const;
-
     void fillLaneAddrs(DecodedInstr &instr, const Pattern &pattern,
                        std::uint32_t global_warp, std::uint64_t iter,
                        std::uint32_t mem_idx) const;

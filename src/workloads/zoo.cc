@@ -100,17 +100,6 @@ intData(std::uint64_t seed, std::uint32_t scale, std::uint32_t noise)
     };
 }
 
-/** Large constant-stride integers: BPC-friendly, BDI-resistant. */
-std::function<void(MemoryImage &)>
-rampData(std::uint64_t seed, std::uint32_t scale)
-{
-    return [=](MemoryImage &mem) {
-        mem.addRegion(kBase, kRegion,
-                      std::make_shared<IntArrayGen>(seed, 12345, scale,
-                                                    0));
-    };
-}
-
 /**
  * Mostly large-stride ramps with a small-delta component: BPC achieves
  * the best ratio, BDI/SC a moderate one — the CLR/MIS profile of

@@ -376,8 +376,12 @@ TEST(Sc, EscapeValuesRoundTrip)
     sc.rebuildCodes();
 
     // A line full of values SC never saw must escape and round trip.
+    // Every word then costs the escape prefix plus 32 raw bits, so the
+    // stream outgrows the line and SC stores it raw.
+    ASSERT_TRUE(sc.hasCodes());
     const auto line = randomLine(31337);
     const auto c = sc.compress(line);
+    EXPECT_EQ(c.sizeBits, kLineBits);
     expectRoundTrip(sc, line);
 }
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <map>
@@ -20,6 +21,7 @@
 #include "sim/thread_pool.hh"
 #include "workloads/synthetic_kernel.hh"
 #include "workloads/value_gens.hh"
+#include "workloads/zoo.hh"
 
 using namespace latte;
 
@@ -50,13 +52,12 @@ TEST(Scheduler, GtoStaysGreedy)
         sched.addSlot(i);
     auto warps = makeWarps(4);
 
-    std::uint32_t ready = 0;
-    int pick = sched.pick(warps, 0, ready);
-    EXPECT_EQ(ready, 4u);
-    EXPECT_EQ(pick, 0); // oldest first
+    SchedulerPick pick = sched.pick(warps, 0);
+    EXPECT_EQ(pick.ready, 4u);
+    EXPECT_EQ(pick.slot, 0); // oldest first
     sched.noteIssued(2); // pretend 2 became the greedy warp
-    pick = sched.pick(warps, 1, ready);
-    EXPECT_EQ(pick, 2) << "GTO sticks with the greedy warp while ready";
+    pick = sched.pick(warps, 1);
+    EXPECT_EQ(pick.slot, 2) << "GTO sticks with the greedy warp while ready";
 }
 
 TEST(Scheduler, GtoFallsBackToOldest)
@@ -69,10 +70,10 @@ TEST(Scheduler, GtoFallsBackToOldest)
     sched.noteIssued(3);
     warps[3].readyAt = 50; // greedy stalls
 
-    std::uint32_t ready = 0;
-    const int pick = sched.pick(warps, 0, ready);
-    EXPECT_EQ(pick, 1);
-    EXPECT_EQ(ready, 3u);
+    const SchedulerPick pick = sched.pick(warps, 0);
+    EXPECT_EQ(pick.slot, 1);
+    EXPECT_EQ(pick.ready, 3u);
+    EXPECT_EQ(pick.wake, 50u);
 }
 
 TEST(Scheduler, NoReadyWarps)
@@ -80,10 +81,10 @@ TEST(Scheduler, NoReadyWarps)
     WarpScheduler sched(GpuConfig::SchedPolicy::GTO, 0);
     sched.addSlot(0);
     auto warps = makeWarps(1, /*ready_at=*/100);
-    std::uint32_t ready = 0;
-    EXPECT_EQ(sched.pick(warps, 0, ready), -1);
-    EXPECT_EQ(ready, 0u);
-    EXPECT_EQ(sched.nextWake(warps, 0), 100u);
+    const SchedulerPick pick = sched.pick(warps, 0);
+    EXPECT_EQ(pick.slot, -1);
+    EXPECT_EQ(pick.ready, 0u);
+    EXPECT_EQ(pick.wake, 100u);
 }
 
 TEST(Scheduler, LrrRotates)
@@ -93,15 +94,85 @@ TEST(Scheduler, LrrRotates)
         sched.addSlot(i);
     auto warps = makeWarps(3);
 
-    std::uint32_t ready = 0;
-    int pick = sched.pick(warps, 0, ready);
-    EXPECT_EQ(pick, 0);
+    SchedulerPick pick = sched.pick(warps, 0);
+    EXPECT_EQ(pick.slot, 0);
     sched.noteIssued(0);
-    pick = sched.pick(warps, 1, ready);
-    EXPECT_EQ(pick, 1);
+    pick = sched.pick(warps, 1);
+    EXPECT_EQ(pick.slot, 1);
     sched.noteIssued(1);
-    pick = sched.pick(warps, 2, ready);
-    EXPECT_EQ(pick, 2);
+    pick = sched.pick(warps, 2);
+    EXPECT_EQ(pick.slot, 2);
+}
+
+namespace
+{
+
+/**
+ * Warps of every kind pick() sees, at cycle 10: two ready, two
+ * sleeping (wake 25 and 40), one waiting on memory with no known ready
+ * cycle, and a Finished and an Unassigned warp whose stale readyAt lies
+ * in the future. Only the sleeping ones may set the wake.
+ */
+std::vector<Warp>
+mixedWarps()
+{
+    auto warps = makeWarps(7);
+    warps[0].readyAt = 10;                 // ready
+    warps[1].readyAt = 40;                 // sleeping
+    warps[2].state = WarpState::WaitMem;   // unresolved load
+    warps[2].readyAt = kNoCycle;
+    warps[3].state = WarpState::Finished;
+    warps[3].readyAt = 12;
+    warps[4].readyAt = 25;                 // sleeping, earliest
+    warps[5].state = WarpState::Unassigned;
+    warps[5].readyAt = 11;
+    warps[6].readyAt = 3;                  // ready
+    return warps;
+}
+
+void
+expectWakeIsEarliestSleeper(GpuConfig::SchedPolicy policy)
+{
+    WarpScheduler sched(policy, 0);
+    for (unsigned i = 0; i < 7; ++i)
+        sched.addSlot(i);
+    auto warps = mixedWarps();
+    constexpr Cycles kNow = 10;
+
+    Cycles expected = kNoCycle;
+    for (const Warp &warp : warps) {
+        if (warp.sleeping(kNow))
+            expected = std::min(expected, warp.readyAt);
+    }
+    ASSERT_EQ(expected, 25u);
+
+    // The wake does not depend on the scheduler's rotation or greedy
+    // state, nor on which warp is picked.
+    for (const std::uint32_t issued : {0u, 6u, 4u}) {
+        const SchedulerPick pick = sched.pick(warps, kNow);
+        EXPECT_EQ(pick.ready, 2u);
+        EXPECT_TRUE(pick.slot == 0 || pick.slot == 6) << pick.slot;
+        EXPECT_EQ(pick.wake, expected);
+        sched.noteIssued(issued);
+    }
+
+    // With the sleepers gone, nothing can wake this scheduler.
+    warps[1].state = WarpState::Finished;
+    warps[4].state = WarpState::WaitMem;
+    warps[4].readyAt = kNoCycle;
+    EXPECT_EQ(sched.pick(warps, kNow).wake, kNoCycle);
+}
+
+} // namespace
+
+TEST(Scheduler, GtoWakeIsEarliestSleeper)
+{
+    expectWakeIsEarliestSleeper(GpuConfig::SchedPolicy::GTO);
+}
+
+TEST(Scheduler, LrrWakeIsEarliestSleeper)
+{
+    expectWakeIsEarliestSleeper(GpuConfig::SchedPolicy::LRR);
 }
 
 // ----------------------------------------------------- whole-GPU runs
@@ -308,6 +379,212 @@ TEST(SyntheticKernel, AddressesStayInRegion)
                 EXPECT_GE(addr, base);
                 EXPECT_LT(addr, end);
             }
+        }
+    }
+}
+
+namespace
+{
+
+/**
+ * Test-only reference: the per-lane address definition the generator
+ * must reproduce, one lane at a time, with the warp hash recomputed for
+ * every lane.
+ */
+Addr
+referenceLaneAddr(const KernelSpec &spec, const Pattern &pattern,
+                  std::uint32_t global_warp, std::uint64_t iter,
+                  std::uint32_t mem_idx, std::uint32_t lane)
+{
+    constexpr std::uint32_t kWarpLanes = 32;
+    constexpr std::uint64_t kLine = 128;
+    const std::uint32_t cta = global_warp / spec.warpsPerCta;
+    const std::uint64_t h =
+        mixHash(spec.seed + mem_idx * 0x1000193u,
+                (static_cast<std::uint64_t>(global_warp) << 24) ^ iter);
+
+    switch (pattern.kind) {
+      case PatternKind::Streaming: {
+        const std::uint64_t total_threads =
+            static_cast<std::uint64_t>(spec.ctas) * spec.warpsPerCta *
+            kWarpLanes;
+        const std::uint64_t tid =
+            static_cast<std::uint64_t>(global_warp) * kWarpLanes + lane;
+        const std::uint64_t idx =
+            (tid + iter * total_threads + mem_idx * 977) *
+            pattern.elemBytes;
+        return pattern.base + idx % pattern.sizeBytes;
+      }
+
+      case PatternKind::HotReuse: {
+        const std::uint64_t slices =
+            std::max<std::uint64_t>(1,
+                                    pattern.sizeBytes /
+                                        pattern.sliceBytes);
+        const std::uint64_t slice_off =
+            (cta % slices) * pattern.sliceBytes;
+        const bool hot =
+            (h % 1024) <
+            static_cast<std::uint64_t>(pattern.hotFraction * 1024.0);
+        const std::uint64_t span =
+            std::max<std::uint64_t>(kLine,
+                                    hot ? pattern.hotBytes
+                                        : pattern.sliceBytes);
+        const std::uint64_t line_idx =
+            mixHash(h, 0x51u) % (span / kLine);
+        return pattern.base + slice_off + line_idx * kLine +
+               (lane * 4) % kLine;
+      }
+
+      case PatternKind::Irregular: {
+        const std::uint64_t slices =
+            std::max<std::uint64_t>(1,
+                                    pattern.sizeBytes /
+                                        pattern.sliceBytes);
+        const std::uint64_t slice_off =
+            (cta % slices) * pattern.sliceBytes;
+        const std::uint32_t lanes_per_group = std::max<std::uint32_t>(
+            1, kWarpLanes / std::max<std::uint32_t>(
+                   1, pattern.divergentLanes));
+        const std::uint32_t group = lane / lanes_per_group;
+        const std::uint64_t hg = mixHash(h, group + 11);
+        const bool hot =
+            (hg % 1024) <
+            static_cast<std::uint64_t>(pattern.hotFraction * 1024.0);
+        const std::uint64_t span =
+            std::max<std::uint64_t>(kLine,
+                                    hot ? pattern.hotBytes
+                                        : pattern.sliceBytes);
+        const std::uint64_t line_idx = mixHash(hg, 0x7fu) % (span / kLine);
+        return pattern.base + slice_off + line_idx * kLine +
+               (lane * 4) % kLine;
+      }
+
+      case PatternKind::Tiled: {
+        const std::uint64_t slices =
+            std::max<std::uint64_t>(1,
+                                    pattern.sizeBytes /
+                                        pattern.sliceBytes);
+        const std::uint64_t slice_off =
+            (cta % slices) * pattern.sliceBytes;
+        const std::uint64_t lines_in_slice =
+            std::max<std::uint64_t>(1, pattern.sliceBytes / kLine);
+        const std::uint64_t line_idx =
+            (iter + mem_idx * 7 +
+             (global_warp % spec.warpsPerCta) * 3) % lines_in_slice;
+        return pattern.base + slice_off + line_idx * kLine +
+               (lane * 4) % kLine;
+      }
+    }
+    ADD_FAILURE() << "unknown pattern kind";
+    return kBadAddr;
+}
+
+/** Reference lane addresses of (warp, pc); none for non-memory ops. */
+std::vector<Addr>
+referenceLanes(const KernelSpec &spec, std::uint32_t warp,
+               std::uint64_t pc)
+{
+    std::uint64_t first_iter = 0;
+    for (const PhaseSpec &phase : spec.phases) {
+        const std::uint64_t body =
+            phase.loadsPerIter + phase.aluPerIter + phase.storesPerIter;
+        if (pc >= body * phase.iterations) {
+            pc -= body * phase.iterations;
+            first_iter += phase.iterations;
+            continue;
+        }
+        const std::uint64_t iter = first_iter + pc / body;
+        const auto slot = static_cast<std::uint32_t>(pc % body);
+        if (slot >= phase.loadsPerIter &&
+            slot < phase.loadsPerIter + phase.aluPerIter)
+            return {};
+        const std::uint32_t mem_idx =
+            slot < phase.loadsPerIter ? slot : slot + 64;
+        std::vector<Addr> lanes(32);
+        for (std::uint32_t lane = 0; lane < 32; ++lane) {
+            lanes[lane] = referenceLaneAddr(spec, phase.pattern, warp,
+                                            iter, mem_idx, lane);
+        }
+        return lanes;
+    }
+    return {};
+}
+
+/**
+ * Compare fetch() against the reference on a sample of (warp, pc): the
+ * first 64 pcs, ~400 more spread over the body, and Exit.
+ * @return how many fetches of each Op were checked
+ */
+std::map<Op, unsigned>
+expectFetchMatchesReference(SyntheticKernel &kernel)
+{
+    std::map<Op, unsigned> seen;
+    const KernelSpec &spec = kernel.spec();
+    const std::uint32_t warps = spec.ctas * spec.warpsPerCta;
+    const std::uint64_t last = kernel.instructionsPerWarp();
+    const std::uint64_t pc_stride = std::max<std::uint64_t>(1, last / 397);
+    const std::uint32_t warp_stride = std::max<std::uint32_t>(1, warps / 5);
+    for (std::uint32_t w = 0; w < warps; w += warp_stride) {
+        for (std::uint64_t pc = 0; pc <= last;
+             pc += pc < 64 ? 1 : pc_stride) {
+            const DecodedInstr instr = kernel.fetch(w, pc);
+            ++seen[instr.op];
+            const bool mem =
+                instr.op == Op::Load || instr.op == Op::Store;
+            EXPECT_EQ(instr.laneAddrs.size(), mem ? 32u : 0u)
+                << spec.name << " warp " << w << " pc " << pc;
+            const auto ref = referenceLanes(spec, w, pc);
+            EXPECT_TRUE(std::equal(instr.laneAddrs.begin(),
+                                   instr.laneAddrs.end(), ref.begin(),
+                                   ref.end()))
+                << spec.name << " warp " << w << " pc " << pc;
+            if (::testing::Test::HasFailure())
+                return seen;
+        }
+        const DecodedInstr exit = kernel.fetch(w, last);
+        EXPECT_EQ(exit.op, Op::Exit);
+        EXPECT_EQ(exit.laneAddrs.size(), 0u);
+    }
+    return seen;
+}
+
+} // namespace
+
+TEST(SyntheticKernel, LaneAddrsMatchPerLaneReference)
+{
+    // Every zoo kernel, at the canonical seeds and one sweep seed.
+    for (const Workload &workload : workloadZoo()) {
+        for (const std::uint64_t seed_mix : {0ull, 7919ull}) {
+            for (auto &kernel : makeKernels(workload, seed_mix)) {
+                expectFetchMatchesReference(*kernel);
+                ASSERT_FALSE(HasFailure()) << workload.abbr;
+            }
+        }
+    }
+
+    // One hand-built kernel per pattern kind and divergence, with a
+    // store slot and a Streaming region small enough to wrap.
+    for (const PatternKind kind :
+         {PatternKind::Streaming, PatternKind::HotReuse,
+          PatternKind::Irregular, PatternKind::Tiled}) {
+        for (const std::uint32_t divergent : {1u, 3u, 5u, 8u, 32u}) {
+            KernelSpec spec = tinyKernel(4, 3, 24);
+            PhaseSpec &phase = spec.phases[0];
+            phase.loadsPerIter = 2;
+            phase.storesPerIter = 1;
+            phase.pattern.kind = kind;
+            phase.pattern.sizeBytes = 16 * 1024;
+            phase.pattern.sliceBytes = 4096;
+            phase.pattern.hotBytes = 1024;
+            phase.pattern.hotFraction = 0.5;
+            phase.pattern.divergentLanes = divergent;
+            SyntheticKernel kernel(spec);
+            const auto seen = expectFetchMatchesReference(kernel);
+            ASSERT_FALSE(HasFailure())
+                << static_cast<int>(kind) << " x" << divergent;
+            for (const Op op : {Op::Load, Op::Alu, Op::Store, Op::Exit})
+                EXPECT_GT(seen.count(op), 0u) << static_cast<int>(op);
         }
     }
 }
