@@ -119,16 +119,17 @@ TEST(L2Compress, LevelCompressSpecsParseAndRender)
 
 TEST(L2Compress, OffKeepsRunKeyFingerprintsByteIdentical)
 {
-    // The acceptance pin: introducing the l2/link knobs must not move a
-    // single pre-existing fingerprint, because toJson(DriverOptions)
-    // emits the new keys only when they differ from the defaults.
-    // These three constants were computed before the compressed L2
-    // existed; a change here invalidates every on-disk result cache.
+    // The acceptance pin: the l2/link knobs must not move a default
+    // fingerprint, because toJson(DriverOptions) emits their keys only
+    // when they differ from the defaults. These three constants were
+    // re-pinned when the retired "compressionMemo" tuning key left the
+    // config JSON; a change here invalidates every on-disk result cache
+    // and sweep journal.
     DriverOptions defaults;
-    EXPECT_EQ(fnv1a(toJson(defaults).dump()), 12809840412801288466ull);
+    EXPECT_EQ(fnv1a(toJson(defaults).dump()), 1351161605896761450ull);
 
     DriverOptions small = tinyOptions();
-    EXPECT_EQ(fnv1a(toJson(small).dump()), 11045311320448511549ull);
+    EXPECT_EQ(fnv1a(toJson(small).dump()), 14572293168988380655ull);
 
     DriverOptions varied;
     varied.cfg.l1.sizeBytes = 32 * 1024;
@@ -138,7 +139,7 @@ TEST(L2Compress, OffKeepsRunKeyFingerprintsByteIdentical)
     varied.cfg.l2.minLatency = 150;
     varied.cfg.l1.hitLatency = 2;
     varied.tuning.capacityBenefit = false;
-    EXPECT_EQ(fnv1a(toJson(varied).dump()), 3364433170339772896ull);
+    EXPECT_EQ(fnv1a(toJson(varied).dump()), 10367631729489306292ull);
 
     // An explicit "off" spec is the default: still no new JSON keys.
     DriverOptions explicit_off;
