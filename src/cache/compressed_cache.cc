@@ -44,7 +44,6 @@ CompressedCache::CompressedCache(const GpuConfig &cfg, SmId sm_id,
       cfg_(cfg), tuning_(tuning), smId_(static_cast<std::uint16_t>(sm_id)),
       engines_(engines), l2_(l2), mem_(mem),
       provider_(&defaultProvider_),
-      memo_(this),
       domain_(cfg.l1, cfg.l1Repl, tuning.capacityBenefit, this)
 {
     latte_assert(engines_ && l2_ && mem_);
@@ -97,14 +96,7 @@ CompressedCache::probeForInsertion(CompressorId mode,
                                    std::span<const std::uint8_t> bytes)
 {
     metrics::ProfileScope profile(metrics::ProfileZone::CompressorProbe);
-    Compressor *engine = engines_->get(mode);
-    if (!tuning_.compressionMemo)
-        return engine->probe(bytes);
-    // SC's probe depends on the live code book; its generation counter
-    // captures that state exactly. The other algorithms are stateless.
-    const std::uint32_t generation =
-        mode == CompressorId::Sc ? engines_->sc.generation() : 0;
-    return memo_.probe(*engine, bytes, generation);
+    return engines_->get(mode)->probe(bytes);
 }
 
 L1AccessResult

@@ -22,7 +22,6 @@
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "compress_memo.hh"
 #include "compress/compression_domain.hh"
 #include "compress/engines.hh"
 #include "l1_stage.hh"
@@ -59,12 +58,6 @@ struct CacheTuning
      * functional memory image on every hit (used by integration tests).
      */
     bool verifyRoundTrip = false;
-    /**
-     * Serve repeat probe() requests from the per-SM CompressMemo instead
-     * of re-running the encoder. Execution shortcut only — results are
-     * bit-identical either way (pinned by the runner golden test).
-     */
-    bool compressionMemo = true;
 };
 
 /** Outcome of an L1 access as seen by the load/store unit. */
@@ -227,7 +220,7 @@ class CompressedCache : public StatGroup
     };
 
     void insertLine(Cycles now, Addr line_addr);
-    /** Size-only encode of an insertion (memoised when enabled). */
+    /** Size-only encode of an insertion. */
     LineMeta probeForInsertion(CompressorId mode,
                                std::span<const std::uint8_t> bytes);
     /** Record into a run-shared hit-path histogram, staging if parked. */
@@ -256,12 +249,6 @@ class CompressedCache : public StatGroup
     CompressionModeProvider *provider_;
     UncompressedProvider defaultProvider_;
 
-    CompressMemo memo_;
-    /**
-     * Constructed after memo_ so its decompression queues register in
-     * the same stat order the pre-domain cache had (memo stats first,
-     * then decomp_bdi .. decomp_cpack).
-     */
     CompressionDomain domain_;
     std::vector<PendingFill> pendingFills_;
     /** processFills() scratch: the fills due this sweep. */

@@ -18,7 +18,6 @@ constexpr StatusEntry kStatusTable[] = {
     {RunStatus::Ok, "ok"},
     {RunStatus::Failed, "failed"},
     {RunStatus::TimedOut, "timed_out"},
-    {RunStatus::Cancelled, "cancelled"},
 };
 
 struct CodeEntry
@@ -31,14 +30,7 @@ constexpr CodeEntry kCodeTable[] = {
     {RunErrorCode::None, "none"},
     {RunErrorCode::InvalidRequest, "invalid_request"},
     {RunErrorCode::InvalidConfig, "invalid_config"},
-    {RunErrorCode::WallClockTimeout, "wall_clock_timeout"},
     {RunErrorCode::CycleBudgetExceeded, "cycle_budget_exceeded"},
-    {RunErrorCode::Cancelled, "cancelled"},
-    {RunErrorCode::CompressorCorruption, "compressor_corruption"},
-    {RunErrorCode::DecompQueueStall, "decomp_queue_stall"},
-    {RunErrorCode::DramTimeout, "dram_timeout"},
-    {RunErrorCode::AllocFailure, "alloc_failure"},
-    {RunErrorCode::Internal, "internal"},
 };
 
 } // namespace
@@ -92,38 +84,6 @@ to_string(const RunError &error)
         text += error.message;
     }
     return text;
-}
-
-const char *
-faultKindName(FaultKind kind)
-{
-    switch (kind) {
-      case FaultKind::CompressorCorruption:
-        return "compressor_corruption";
-      case FaultKind::DecompQueueStall:
-        return "decomp_queue_stall";
-      case FaultKind::DramTimeout:
-        return "dram_timeout";
-      case FaultKind::AllocFailure:
-        return "alloc_failure";
-    }
-    latte_panic("unknown FaultKind");
-}
-
-RunErrorCode
-faultErrorCode(FaultKind kind)
-{
-    switch (kind) {
-      case FaultKind::CompressorCorruption:
-        return RunErrorCode::CompressorCorruption;
-      case FaultKind::DecompQueueStall:
-        return RunErrorCode::DecompQueueStall;
-      case FaultKind::DramTimeout:
-        return RunErrorCode::DramTimeout;
-      case FaultKind::AllocFailure:
-        return RunErrorCode::AllocFailure;
-    }
-    latte_panic("unknown FaultKind");
 }
 
 } // namespace latte

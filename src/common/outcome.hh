@@ -1,30 +1,24 @@
 /**
  * @file
- * The structured failure vocabulary of the run() boundary and the
- * cooperative control surface threaded through the simulator:
+ * The structured failure vocabulary of the run() boundary and the one
+ * control the simulator honours:
  *
  *  - RunStatus / RunErrorCode / RunError: the stable, serializable
  *    error model every supervising layer (sweep runner, journal, CI
  *    gates) acts on. No exception ever crosses the library boundary;
- *    failures travel as values.
- *  - CancelToken: a lock-free flag a watchdog (or a user) sets to make
- *    a running cell stop at its next safe point, carrying the reason
- *    (external cancel vs wall-clock timeout).
- *  - FaultPlan: the fault-injection schedule tests use to prove that a
- *    failing cell degrades to a recorded RunError instead of killing
- *    the surrounding sweep.
+ *    failures travel as values. A cell is a pure function of its
+ *    request, so a failure is as deterministic as a result.
+ *  - RunControl: the simulated-cycle budget the GPU cycle loop checks.
  *
- * Lives in common/ because the GPU model polls the control surface
- * from its cycle loop while the driver and runner own the policy.
+ * Lives in common/ because the GPU model reads the control from its
+ * cycle loop while the driver and runner own the policy.
  */
 
 #ifndef LATTE_COMMON_OUTCOME_HH
 #define LATTE_COMMON_OUTCOME_HH
 
-#include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "types.hh"
 
@@ -34,33 +28,25 @@ namespace latte
 /** Terminal state of one run() invocation. */
 enum class RunStatus
 {
-    Ok,       //!< result produced (attempts > 1 means Retried -> Ok)
-    Failed,   //!< a fault or invalid request; see RunError::code
-    TimedOut, //!< watchdog tripped (wall clock or cycle budget)
-    Cancelled //!< externally cancelled via CancelToken
+    Ok,      //!< result produced
+    Failed,  //!< invalid request or configuration; see RunError::code
+    TimedOut //!< the simulated-cycle budget ran out
 };
 
 /**
  * Stable error-code enum, serialized by name into result JSON (schema
- * 3) and the sweep journal. Append new codes at the end; never reorder
- * or rename — journals and cached results outlive binaries.
+ * 3) and the sweep journal. Never rename a code — journals and cached
+ * results outlive binaries.
  */
 enum class RunErrorCode
 {
     None = 0,
-    InvalidRequest,       //!< request missing a workload
-    InvalidConfig,        //!< GpuConfig::validationError rejected it
-    WallClockTimeout,     //!< per-cell watchdog wall-clock budget
-    CycleBudgetExceeded,  //!< per-cell simulated-cycle budget
-    Cancelled,            //!< external cooperative cancellation
-    CompressorCorruption, //!< compression round-trip violation
-    DecompQueueStall,     //!< decompression queue stopped draining
-    DramTimeout,          //!< DRAM stopped servicing its backlog
-    AllocFailure,         //!< line/MSHR allocation failure
-    Internal,             //!< unclassified internal failure
+    InvalidRequest,      //!< request missing a workload
+    InvalidConfig,       //!< GpuConfig::validationError rejected it
+    CycleBudgetExceeded, //!< per-cell simulated-cycle budget
 };
 
-/** Lower-snake-case stable name ("wall_clock_timeout", ...). */
+/** Lower-snake-case stable name ("cycle_budget_exceeded", ...). */
 const char *runStatusName(RunStatus status);
 const char *runErrorCodeName(RunErrorCode code);
 
@@ -100,110 +86,15 @@ struct RunError
 };
 
 /**
- * Cooperative cancellation: the watchdog (or any supervisor) calls
- * cancel(); the GPU cycle loop polls cancelled() and stops at the next
- * iteration. The reason is published before the flag so a reader that
- * observes the flag always sees the right reason.
- */
-class CancelToken
-{
-  public:
-    void
-    cancel(RunErrorCode reason = RunErrorCode::Cancelled)
-    {
-        reason_.store(reason, std::memory_order_release);
-        cancelled_.store(true, std::memory_order_release);
-    }
-
-    bool
-    cancelled() const
-    {
-        return cancelled_.load(std::memory_order_acquire);
-    }
-
-    RunErrorCode
-    reason() const
-    {
-        return reason_.load(std::memory_order_acquire);
-    }
-
-    /** Re-arm for the next attempt (single-threaded moment only). */
-    void
-    reset()
-    {
-        cancelled_.store(false, std::memory_order_release);
-        reason_.store(RunErrorCode::None, std::memory_order_release);
-    }
-
-  private:
-    std::atomic<RunErrorCode> reason_{RunErrorCode::None};
-    std::atomic<bool> cancelled_{false};
-};
-
-/** The injectable fault classes of the resilience test matrix. */
-enum class FaultKind
-{
-    CompressorCorruption, //!< round-trip verify mismatch
-    DecompQueueStall,     //!< decompression queue wedged
-    DramTimeout,          //!< DRAM channel unresponsive
-    AllocFailure,         //!< allocation failure in the cache
-};
-
-const char *faultKindName(FaultKind kind);
-
-/** The RunErrorCode a fired fault of @p kind reports. */
-RunErrorCode faultErrorCode(FaultKind kind);
-
-/** One scheduled fault. */
-struct FaultPoint
-{
-    FaultKind kind = FaultKind::CompressorCorruption;
-    /** Simulated cycle at (or after) which the fault fires. */
-    Cycles atCycle = 0;
-    /**
-     * Fire only on the first N attempts of the cell (0 = every
-     * attempt). firstAttempts = 1 models a transient failure that a
-     * retry clears — the Retried->Ok path.
-     */
-    std::uint32_t firstAttempts = 0;
-};
-
-/** The fault-injection schedule of one cell. */
-struct FaultPlan
-{
-    std::vector<FaultPoint> faults;
-
-    bool empty() const { return faults.empty(); }
-
-    /** The subset still armed on @p attempt (1-based). */
-    FaultPlan
-    armedFor(std::uint32_t attempt) const
-    {
-        FaultPlan armed;
-        for (const FaultPoint &fault : faults) {
-            if (fault.firstAttempts == 0 ||
-                attempt <= fault.firstAttempts)
-                armed.faults.push_back(fault);
-        }
-        return armed;
-    }
-};
-
-/**
- * The per-run control surface the driver threads into the GPU model.
- * Everything here is cooperative: the cycle loop polls it and winds
- * down cleanly, so no state is corrupted and no exception is thrown.
- * None of it participates in result-cache keys; a run with a non-empty
- * fault plan additionally bypasses the cache entirely.
+ * The per-run control the driver threads into the GPU model. The cycle
+ * loop checks it and winds down cleanly when it trips, so no state is
+ * corrupted and no exception is thrown. Not part of the result-cache
+ * key.
  */
 struct RunControl
 {
-    /** Not owned; nullptr = not cancellable. */
-    CancelToken *cancel = nullptr;
     /** Simulated-cycle budget for the whole run (0 = unlimited). */
     Cycles cycleBudget = 0;
-    /** Fault-injection schedule (normally empty outside tests). */
-    FaultPlan faults;
 };
 
 } // namespace latte

@@ -258,11 +258,8 @@ runStatusForCode(RunErrorCode code)
     switch (code) {
       case RunErrorCode::None:
         return RunStatus::Ok;
-      case RunErrorCode::WallClockTimeout:
       case RunErrorCode::CycleBudgetExceeded:
         return RunStatus::TimedOut;
-      case RunErrorCode::Cancelled:
-        return RunStatus::Cancelled;
       default:
         return RunStatus::Failed;
     }

@@ -12,9 +12,9 @@
  * that records structured events for the observability layer.
  *
  * run() returns a RunOutcome, never throws and never exits: invalid
- * requests, injected faults, watchdog cancellations and budget trips
- * all come back as structured RunError values a supervising layer
- * (sweep runner, journal, CI gate) can act on.
+ * requests and cycle-budget trips come back as structured RunError
+ * values a supervising layer (sweep runner, journal, CI gate) can act
+ * on.
  */
 
 #ifndef LATTE_CORE_DRIVER_HH
@@ -190,11 +190,9 @@ struct RunRequest
      */
     metrics::MetricRegistry *metrics = nullptr;
     /**
-     * Cooperative run control: cancellation token, simulated-cycle
-     * budget and the fault-injection schedule. The driver threads it
-     * into the GPU cycle loop, which polls it and winds down cleanly
-     * when it trips. Not part of the result-cache key; a request with
-     * a non-empty fault plan additionally bypasses the cache.
+     * Run control: the simulated-cycle budget. The driver threads it
+     * into the GPU cycle loop, which winds down cleanly when it trips.
+     * Not part of the result-cache key.
      */
     RunControl control;
 };
@@ -204,20 +202,13 @@ std::string runRequestLabel(const RunRequest &request);
 
 /**
  * The outcome of one run(): a status, a structured error (code None
- * when ok) and the result when one was produced. The sweep runner adds
- * the retry bookkeeping: attempts > 1 with status Ok is the
- * Retried->Ok path, and retryHistory keeps the error of every failed
- * attempt that preceded the final one.
+ * when ok) and the result when one was produced.
  */
 struct RunOutcome
 {
     RunStatus status = RunStatus::Ok;
     RunError error;
     std::optional<WorkloadRunResult> result;
-    /** Total attempts the runner made (1 = first try). */
-    std::uint32_t attempts = 1;
-    /** Errors of the failed attempts that preceded the last one. */
-    std::vector<RunError> retryHistory;
     /**
      * SM-stepping threads the run resolved to (metadata for the result
      * envelope; never part of the cell fingerprint, since every thread
@@ -242,8 +233,8 @@ RunStatus runStatusForCode(RunErrorCode code);
  * Run one request. Validates the GpuConfig, dispatches Kernel-OPT
  * composition, and fills every WorkloadRunResult field including the
  * flattened stat dump. Never throws, exits or aborts on a bad request:
- * every failure — invalid configuration, cancellation, budget trip,
- * injected fault — is returned as a structured RunOutcome.
+ * every failure — invalid request or configuration, budget trip — is
+ * returned as a structured RunOutcome.
  */
 RunOutcome run(const RunRequest &request);
 

@@ -28,17 +28,6 @@ parseUint(const char *flag, const std::string &text)
     return value;
 }
 
-double
-parseSeconds(const char *flag, const std::string &text)
-{
-    char *end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    if (!end || *end != '\0' || text.empty() || value < 0)
-        latte_fatal("{}: bad duration '{}'\n{}", flag, text,
-                    sweepArgsUsage());
-    return value;
-}
-
 // The single source of truth: parseSweepArgs() walks this table and
 // sweepArgsUsage() renders it. A null `value` marks a boolean flag.
 const ArgSpec kSpecs[] = {
@@ -51,27 +40,10 @@ const ArgSpec kSpecs[] = {
     {"--resume", nullptr, "<path>",
      "journal finished cells there; skip them when re-run",
      [](SweepCliOptions &o, const std::string &v) { o.resumePath = v; }},
-    {"--cell-timeout", nullptr, "<seconds>",
-     "wall-clock watchdog budget per cell (0 = unlimited)",
-     [](SweepCliOptions &o, const std::string &v) {
-         o.cellTimeoutMs = static_cast<std::uint64_t>(
-             parseSeconds("--cell-timeout", v) * 1000.0);
-     }},
     {"--cell-cycle-budget", nullptr, "<cycles>",
      "simulated-cycle budget per cell (0 = unlimited)",
      [](SweepCliOptions &o, const std::string &v) {
          o.cellCycleBudget = parseUint("--cell-cycle-budget", v);
-     }},
-    {"--retries", nullptr, "<n>",
-     "extra attempts for failed/timed-out cells",
-     [](SweepCliOptions &o, const std::string &v) {
-         o.retries = static_cast<std::uint32_t>(
-             parseUint("--retries", v));
-     }},
-    {"--retry-backoff-ms", nullptr, "<ms>",
-     "base backoff between attempts (doubled each retry)",
-     [](SweepCliOptions &o, const std::string &v) {
-         o.retryBackoffMs = parseUint("--retry-backoff-ms", v);
      }},
     {"--json", nullptr, "<path>",
      "write sweep outcomes as a JSON array",

@@ -4,17 +4,14 @@
  * through Sweep: one declarative ArgSpec table defines each flag's
  * names, value placeholder, help line and parse action, and both the
  * parser and the generated --help output are derived from it — so a
- * new flag (as --resume and the watchdog knobs were) lands once and
- * appears in every sweep binary.
+ * new flag (as --resume was) lands once and appears in every sweep
+ * binary.
  *
  *   -j N, --jobs N        worker threads (0 = hardware concurrency)
  *   --cache-dir DIR       on-disk result cache directory
  *   --resume PATH         sweep journal: record finished cells, skip
  *                         them when re-invoked after a crash/kill
- *   --cell-timeout SECS   per-cell wall-clock watchdog budget
  *   --cell-cycle-budget N per-cell simulated-cycle budget
- *   --retries N           extra attempts for failed/timed-out cells
- *   --retry-backoff-ms N  base backoff between attempts
  *   --json PATH           write all sweep outcomes as a JSON array
  *   --trace-out PATH      write a Chrome trace-event JSON of all runs
  *   --timeline-out PATH   write the per-EP time series of all runs
@@ -34,8 +31,8 @@
  *   --help                print the generated flag table and exit
  *
  * Recognised flags are consumed (argc/argv are compacted in place);
- * everything else — positional workload names, google-benchmark flags —
- * is left for the caller.
+ * everything else is left for the caller. Sweep(argc, argv) rejects a
+ * leftover flag and keeps the positionals (workload names).
  */
 
 #ifndef LATTE_RUNNER_ARG_PARSE_HH
@@ -83,14 +80,8 @@ struct SweepCliOptions
 
     // --- Resilience ----------------------------------------------------
     std::string resumePath;  //!< sweep journal; empty = no resume
-    /** Per-cell wall-clock budget in ms (0 = unlimited). */
-    std::uint64_t cellTimeoutMs = 0;
     /** Per-cell simulated-cycle budget (0 = unlimited). */
     std::uint64_t cellCycleBudget = 0;
-    /** Extra attempts for Failed/TimedOut cells. */
-    std::uint32_t retries = 0;
-    /** Base backoff before a retry, doubled per attempt. */
-    std::uint64_t retryBackoffMs = 100;
 
     // --- Observability -------------------------------------------------
     /**
@@ -153,7 +144,7 @@ class ArgParser
 
     /**
      * Register the shared sweep flag table (--jobs/--cache-dir/--json/
-     * --metrics-out/--retries/...) once, parsing into @p options, under
+     * --metrics-out/--resume/...) once, parsing into @p options, under
      * a "sweep options" help group. @p options must outlive parse().
      */
     void registerCommonFlags(SweepCliOptions &options);

@@ -2,134 +2,18 @@
 
 #include <atomic>
 #include <chrono>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <thread>
 
 #include "common/logging.hh"
-#include "json.hh"
 #include "metrics/profiler.hh"
 #include "progress.hh"
 #include "resilience.hh"
 #include "result_cache.hh"
-#include "sim/thread_pool.hh"
-#include "trace/tracer.hh"
 
 namespace latte::runner
 {
-
-namespace
-{
-
-/** Make a cell label safe to use as a file name. */
-std::string
-sanitizeLabel(std::string label)
-{
-    for (char &c : label) {
-        const bool ok = (c >= 'a' && c <= 'z') ||
-                        (c >= 'A' && c <= 'Z') ||
-                        (c >= '0' && c <= '9') || c == '-' || c == '.';
-        if (!ok)
-            c = '_';
-    }
-    return label;
-}
-
-/** Retained trace events included in a diagnostics snapshot. */
-constexpr std::size_t kDiagTraceTail = 64;
-
-/**
- * Dump a correlation-tagged JSON snapshot of a failed cell: the outcome
- * envelope plus whatever observational state the process holds at that
- * moment (profiler zones, sim pool counters, trace tail). Best-effort —
- * a write failure is a warning, never an error, and the snapshot is
- * never read back by the runner itself.
- */
-void
-writeDiagnostics(const std::string &dir, std::size_t index,
-                 const std::string &cell, const RunRequest &request,
-                 const RunOutcome &outcome, double wallMs)
-{
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-
-    Json::Object doc;
-    doc.emplace("schema", "latte-diag-v1");
-    doc.emplace("context", logContext());
-    doc.emplace("cell", cell);
-    doc.emplace("cell_index", static_cast<std::uint64_t>(index));
-    doc.emplace("workload", request.workload ? request.workload->abbr
-                                             : std::string());
-    doc.emplace("policy", runRequestLabel(request));
-    doc.emplace("seed", static_cast<std::uint64_t>(request.seed));
-    doc.emplace("wall_ms", wallMs);
-
-    RunOutcome envelope = outcome;
-    envelope.result.reset();
-    doc.emplace("outcome", toJson(envelope));
-
-    if (metrics::profilerEnabled()) {
-        const auto zones = metrics::profilerSnapshot();
-        Json::Object zonesJson;
-        for (std::size_t z = 0; z < zones.size(); ++z) {
-            Json::Object zone;
-            zone.emplace("calls", zones[z].calls);
-            zone.emplace("nanos", zones[z].nanos);
-            zonesJson.emplace(
-                metrics::profileZoneName(
-                    static_cast<metrics::ProfileZone>(z)),
-                Json(std::move(zone)));
-        }
-        doc.emplace("profiler_zones", Json(std::move(zonesJson)));
-    }
-
-    const SimPoolStats pool = simPoolGlobalStats();
-    Json::Object poolJson;
-    poolJson.emplace("epochs", pool.epochs);
-    poolJson.emplace("items", pool.items);
-    poolJson.emplace("caller_items", pool.callerItems);
-    poolJson.emplace("sleep_transitions", pool.sleepTransitions);
-    poolJson.emplace("barrier_waits", pool.barrierWaitNs.count());
-    doc.emplace("sim_pool", Json(std::move(poolJson)));
-
-    if (request.tracer) {
-        const std::size_t total = request.tracer->size();
-        const std::size_t skip =
-            total > kDiagTraceTail ? total - kDiagTraceTail : 0;
-        std::size_t seen = 0;
-        Json::Array tail;
-        request.tracer->forEach([&](const TraceEvent &event) {
-            if (seen++ < skip)
-                return;
-            Json::Object entry;
-            entry.emplace("ts", static_cast<std::uint64_t>(event.ts));
-            entry.emplace("kind", traceEventKindName(event.kind));
-            entry.emplace("arg0", event.arg0);
-            entry.emplace("arg1", event.arg1);
-            entry.emplace("value", event.value);
-            entry.emplace("sm", static_cast<std::uint64_t>(event.sm));
-            tail.push_back(Json(std::move(entry)));
-        });
-        doc.emplace("trace_tail", Json(std::move(tail)));
-        doc.emplace("trace_recorded", request.tracer->recorded());
-        doc.emplace("trace_dropped", request.tracer->dropped());
-    }
-
-    const std::string path = dir + "/" + sanitizeLabel(cell) + "-" +
-                             std::to_string(index) + ".json";
-    std::ofstream out(path);
-    if (!out) {
-        latte_warn("diagnostics: cannot write {}", path);
-        return;
-    }
-    out << Json(std::move(doc)).dump(2) << "\n";
-    latte_inform("cell {} failed; diagnostics snapshot at {}", cell,
-                 path);
-}
-
-} // namespace
 
 ExperimentRunner::ExperimentRunner(RunnerOptions options)
     : options_(std::move(options))
@@ -164,21 +48,6 @@ ExperimentRunner::runAll(const std::vector<RunRequest> &requests)
     std::unique_ptr<SweepJournal> journal;
     if (!options_.journalPath.empty())
         journal = std::make_unique<SweepJournal>(options_.journalPath);
-    std::unique_ptr<Watchdog> watchdog;
-    if (options_.cellTimeoutMs > 0)
-        watchdog = std::make_unique<Watchdog>();
-
-    // Failed cells dump a diagnostics snapshot next to the journal
-    // unless the caller pointed the snapshots somewhere else.
-    std::string diag_dir = options_.diagnosticsDir;
-    if (diag_dir.empty() && !options_.journalPath.empty())
-        diag_dir = (std::filesystem::path(options_.journalPath)
-                        .parent_path() /
-                    "diagnostics")
-                       .string();
-
-    const RetryPolicy retry{.maxRetries = options_.maxRetries,
-                            .backoffMs = options_.retryBackoffMs};
 
     const unsigned threads = effectiveThreads(requests.size());
     ProgressReporter progress(requests.size(), threads,
@@ -189,49 +58,8 @@ ExperimentRunner::runAll(const std::vector<RunRequest> &requests)
     std::atomic<std::size_t> cache_hits{0};
     std::atomic<std::size_t> journal_skips{0};
     std::atomic<std::size_t> failed{0};
-    std::atomic<std::size_t> retried{0};
     std::mutex wall_mutex;
     metrics::LatencyHistogram wall_ms;
-
-    // One cell, all attempts: each attempt gets a fresh cancel token
-    // (unless the request carries its own), the runner's cycle budget
-    // when the request sets none, and only the fault points armed for
-    // that attempt number — so a transient FaultPoint{firstAttempts=1}
-    // clears on retry. The watchdog guards every attempt separately.
-    auto attemptCell = [&](const RunRequest &request,
-                           const std::string &cell_name) -> RunOutcome {
-        std::vector<RunError> history;
-        for (std::uint32_t attempt = 1;; ++attempt) {
-            RunRequest attempt_request = request;
-            attempt_request.control.faults =
-                request.control.faults.armedFor(attempt);
-            if (attempt_request.control.cycleBudget == 0)
-                attempt_request.control.cycleBudget =
-                    options_.cellCycleBudget;
-            CancelToken local_token;
-            if (attempt_request.control.cancel == nullptr)
-                attempt_request.control.cancel = &local_token;
-
-            RunOutcome outcome;
-            {
-                WatchdogScope guard(watchdog.get(),
-                                    attempt_request.control.cancel,
-                                    options_.cellTimeoutMs, cell_name);
-                outcome = run(attempt_request);
-            }
-            outcome.attempts = attempt;
-            outcome.retryHistory = history;
-            if (outcome.ok() ||
-                !retry.shouldRetry(outcome.status, attempt))
-                return outcome;
-
-            history.push_back(outcome.error);
-            const std::uint64_t backoff = retry.backoffForRetry(attempt);
-            if (backoff > 0)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(backoff));
-        }
-    };
 
     auto worker = [&]() {
         for (;;) {
@@ -242,9 +70,8 @@ ExperimentRunner::runAll(const std::vector<RunRequest> &requests)
             const RunRequest &request = requests[i];
             const auto start = std::chrono::steady_clock::now();
 
-            // Every log line this cell emits — from the runner, the
-            // simulator or the watchdog-adjacent retry machinery —
-            // carries the same correlation id.
+            // Every log line this cell emits — from the runner or the
+            // simulator — carries the same correlation id.
             LogScope cell_ctx("cell-" + std::to_string(i));
 
             const std::string cell_name =
@@ -259,15 +86,11 @@ ExperimentRunner::runAll(const std::vector<RunRequest> &requests)
             // bypassed entirely for every observational output
             // (tracer, metric registry, self-profiler). None of them
             // is part of RunKey, and an observed result must not
-            // shadow an unobserved one. A request with injected faults
-            // shares its fingerprint with the healthy cell, so it must
-            // touch neither the cache nor the journal.
+            // shadow an unobserved one.
             const bool observed = request.tracer != nullptr ||
                                   request.metrics != nullptr ||
                                   metrics::profilerEnabled();
-            const bool faulted = !request.control.faults.empty();
-            const bool keyed = !observed && !faulted &&
-                               request.workload != nullptr;
+            const bool keyed = !observed && request.workload != nullptr;
 
             const RunKey key =
                 keyed && (cache || journal) ? RunKey::of(request) : RunKey{};
@@ -276,23 +99,18 @@ ExperimentRunner::runAll(const std::vector<RunRequest> &requests)
             if (keyed && journal) {
                 // The journal gates resume: ok cells are served from
                 // the result cache (the journal stores no result
-                // bytes), terminal failures are reconstructed as-is,
-                // and Cancelled cells — the user interrupted, not the
-                // cell — run again.
+                // bytes) and failures are reconstructed as-is.
                 if (auto entry = journal->find(key.fingerprint())) {
                     if (entry->ok()) {
                         if (cache) {
                             if (auto hit = cache->lookup(key)) {
                                 outcomes[i] = std::move(*hit);
-                                outcomes[i].attempts = entry->attempts;
-                                outcomes[i].retryHistory =
-                                    entry->retryHistory;
                                 done = shortcut = true;
                                 journal_skips.fetch_add(
                                     1, std::memory_order_relaxed);
                             }
                         }
-                    } else if (entry->status != RunStatus::Cancelled) {
+                    } else {
                         outcomes[i] = std::move(*entry);
                         done = shortcut = true;
                         journal_skips.fetch_add(
@@ -312,12 +130,14 @@ ExperimentRunner::runAll(const std::vector<RunRequest> &requests)
                 }
             }
             if (!done) {
-                outcomes[i] = attemptCell(request, cell_name);
+                RunRequest budgeted = request;
+                if (budgeted.control.cycleBudget == 0)
+                    budgeted.control.cycleBudget =
+                        options_.cellCycleBudget;
+                outcomes[i] = run(budgeted);
                 executed.fetch_add(1, std::memory_order_relaxed);
                 if (!outcomes[i].ok())
                     failed.fetch_add(1, std::memory_order_relaxed);
-                if (outcomes[i].attempts > 1)
-                    retried.fetch_add(1, std::memory_order_relaxed);
                 if (keyed) {
                     if (cache && outcomes[i].ok())
                         cache->store(key, outcomes[i]);
@@ -334,10 +154,6 @@ ExperimentRunner::runAll(const std::vector<RunRequest> &requests)
                 std::lock_guard<std::mutex> lock(wall_mutex);
                 wall_ms.record(seconds * 1e3);
             }
-            if (!diag_dir.empty() && !shortcut && !outcomes[i].ok() &&
-                outcomes[i].status != RunStatus::Cancelled)
-                writeDiagnostics(diag_dir, i, cell_name, request,
-                                 outcomes[i], seconds * 1e3);
             progress.completed(cell_name, seconds, shortcut);
         }
     };
@@ -360,10 +176,6 @@ ExperimentRunner::runAll(const std::vector<RunRequest> &requests)
     stats_.cacheHits = cache_hits.load();
     stats_.journalSkips = journal_skips.load();
     stats_.failed = failed.load();
-    stats_.retried = retried.load();
-    stats_.nearMisses =
-        watchdog ? static_cast<std::size_t>(watchdog->nearMissCount())
-                 : 0;
     cellWallMs_ = wall_ms;
     return outcomes;
 }

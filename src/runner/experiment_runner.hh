@@ -15,11 +15,10 @@
  * are persisted for the next invocation.
  *
  * Resilience (see resilience.hh): a journal path makes finished cells
- * — ok or failed — skippable on resume; a wall-clock or cycle budget
- * arms a watchdog that cancels hung cells cooperatively; maxRetries
- * re-attempts Failed/TimedOut cells with exponential backoff. No cell
- * can take the sweep down: every failure is a RunOutcome, not an
- * exception or exit.
+ * — ok or failed — skippable on resume, and a cycle budget bounds each
+ * cell in simulated time. Each cell runs once: it is deterministic, so
+ * a failure would repeat. No cell can take the sweep down: every
+ * failure is a RunOutcome, not an exception or exit.
  */
 
 #ifndef LATTE_RUNNER_EXPERIMENT_RUNNER_HH
@@ -45,28 +44,12 @@ struct RunnerOptions
     /** Progress/ETA lines on stderr. */
     bool progress = true;
 
-    // --- Observability -------------------------------------------------
-    /**
-     * Directory for crash-diagnostics snapshots: every cell that
-     * finishes with a non-Ok outcome dumps a correlation-tagged JSON
-     * snapshot (error, attempts, pool counters, profiler zones, trace
-     * tail) here. Empty derives "<journal dir>/diagnostics" when a
-     * journal path is set; with neither, no snapshots are written.
-     */
-    std::string diagnosticsDir;
-
     // --- Resilience ----------------------------------------------------
     /** Sweep journal path; empty = no checkpoint/resume. */
     std::string journalPath;
-    /** Per-cell wall-clock budget in ms; 0 = unlimited. */
-    std::uint64_t cellTimeoutMs = 0;
     /** Per-cell simulated-cycle budget; 0 = unlimited. Applied only to
      *  cells that don't set their own RunControl::cycleBudget. */
     std::uint64_t cellCycleBudget = 0;
-    /** Extra attempts for Failed/TimedOut cells (0 = fail fast). */
-    std::uint32_t maxRetries = 0;
-    /** Base backoff before retry k: backoff * 2^(k-1), capped at 5 s. */
-    std::uint64_t retryBackoffMs = 100;
 };
 
 class ExperimentRunner
@@ -79,9 +62,6 @@ class ExperimentRunner
         std::size_t cacheHits = 0;    //!< cells served from disk
         std::size_t journalSkips = 0; //!< cells resumed from journal
         std::size_t failed = 0;       //!< cells with a non-Ok outcome
-        std::size_t retried = 0;      //!< cells needing >1 attempt
-        /** Cells that finished in budget but used over half of it. */
-        std::size_t nearMisses = 0;
     };
 
     explicit ExperimentRunner(RunnerOptions options = {});

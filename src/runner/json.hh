@@ -104,10 +104,9 @@ Json toJson(const RunError &error);
 /**
  * The schema-3 cell document: the result body (or a zeroed stub
  * carrying the cell context when the run failed) extended with the
- * outcome envelope — "status", "error" (null when ok), "attempts" and
- * "retryHistory". This is what the result cache persists and what the
- * sweep --json export emits, so failed cells still appear in partial
- * results with their cause and retry history.
+ * outcome envelope — "status" and "error" (null when ok). This is what
+ * the result cache persists and what the sweep --json export emits, so
+ * failed cells still appear in partial results with their cause.
  */
 Json toJson(const RunOutcome &outcome);
 

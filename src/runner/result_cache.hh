@@ -58,8 +58,9 @@ class ResultCache
 
     /**
      * Atomically (write + rename) persist the cell's outcome. Only Ok
-     * outcomes are stored: failures may be transient (watchdog trips,
-     * injected faults) and are journaled, never cached.
+     * outcomes are stored: a budget trip depends on the cell's cycle
+     * budget, which is not part of the key, so failures are journaled,
+     * never cached.
      */
     void store(const RunKey &key, const RunOutcome &outcome) const;
 

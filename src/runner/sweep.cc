@@ -26,19 +26,31 @@ toRunnerOptions(const SweepCliOptions &cli)
         .threads = cli.jobs,
         .cacheDir = cli.cacheDir,
         .progress = cli.progress,
-        .diagnosticsDir = {},
         .journalPath = cli.resumePath,
-        .cellTimeoutMs = cli.cellTimeoutMs,
         .cellCycleBudget = cli.cellCycleBudget,
-        .maxRetries = cli.retries,
-        .retryBackoffMs = cli.retryBackoffMs,
     };
+}
+
+/**
+ * parseSweepArgs() that also rejects every leftover flag, so a misspelt
+ * or retired flag stops the binary instead of running the whole grid
+ * without it. Positionals (workload names) stay for the caller.
+ */
+SweepCliOptions
+parseSweepArgsStrict(int &argc, char **argv)
+{
+    SweepCliOptions cli = parseSweepArgs(argc, argv);
+    for (int i = 1; i < argc; ++i) {
+        if (argv[i][0] == '-')
+            latte_fatal("unknown argument '{}' (try --help)", argv[i]);
+    }
+    return cli;
 }
 
 } // namespace
 
 Sweep::Sweep(int &argc, char **argv, DriverOptions defaults)
-    : Sweep(parseSweepArgs(argc, argv), std::move(defaults))
+    : Sweep(parseSweepArgsStrict(argc, argv), std::move(defaults))
 {}
 
 Sweep::Sweep(SweepCliOptions cli, DriverOptions defaults)
@@ -244,7 +256,7 @@ Sweep::writeJson() const
     metrics::ProfileScope profile(metrics::ProfileZone::RunnerSerialize);
     // Every finished cell is exported, failed ones included: a partial
     // sweep still yields a complete document whose failed cells carry
-    // their cause and retry history in the outcome envelope.
+    // their cause in the outcome envelope.
     std::vector<RunOutcome> finished;
     for (std::size_t i = 0; i < outcomes_.size(); ++i) {
         if (done_[i])
@@ -367,7 +379,6 @@ Sweep::writeBench() const
     report["journal_skips"] =
         static_cast<std::uint64_t>(stats.journalSkips);
     report["failed_cells"] = static_cast<std::uint64_t>(stats.failed);
-    report["retried_cells"] = static_cast<std::uint64_t>(stats.retried);
     report["threads"] = runner_.effectiveThreads(cells ? cells : 1);
     report["wall_seconds"] = runSeconds_;
     report["sim_cycles"] = cycles;
@@ -378,8 +389,6 @@ Sweep::writeBench() const
     report["instructions_per_second"] =
         runSeconds_ > 0 ? static_cast<double>(instructions) / runSeconds_
                         : 0.0;
-    report["near_miss_cells"] =
-        static_cast<std::uint64_t>(stats.nearMisses);
 
     // Runtime introspection of the --sim-threads pool: process-wide
     // aggregate over every pool the sweep's runs created. Purely

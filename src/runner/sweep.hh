@@ -41,7 +41,11 @@ namespace latte::runner
 class Sweep
 {
   public:
-    /** Parse and strip the shared sweep flags from argc/argv. */
+    /**
+     * Parse and strip the shared sweep flags from argc/argv. Any other
+     * argument starting with '-' is a latte_fatal; positionals are left
+     * in argv for the caller.
+     */
     Sweep(int &argc, char **argv, DriverOptions defaults = {});
 
     /** Use pre-parsed options (tests, embedding). */
@@ -84,7 +88,7 @@ class Sweep
      * Result lookup; runs pending cells (or the missing cell) first.
      * A cell that did not finish Ok is a latte_fatal here — get() is
      * the "I need the numbers" API. Callers that tolerate failure
-     * (partial sweeps, fault-injection harnesses) use outcome().
+     * (partial sweeps, budgeted cells) use outcome().
      */
     const WorkloadRunResult &get(const Workload &workload,
                                  PolicyKind kind);

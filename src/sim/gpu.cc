@@ -55,71 +55,12 @@ Gpu::setMetrics(metrics::MetricRegistry *metrics)
 std::optional<SimInterrupt>
 Gpu::checkControl()
 {
-    if (!control_)
+    if (!control_ || control_->cycleBudget == 0 ||
+        now_ < control_->cycleBudget)
         return std::nullopt;
-
-    if (control_->cancel && control_->cancel->cancelled()) {
-        const RunErrorCode reason = control_->cancel->reason();
-        return SimInterrupt{
-            reason == RunErrorCode::None ? RunErrorCode::Cancelled
-                                         : reason,
-            now_,
-            reason == RunErrorCode::WallClockTimeout
-                ? "watchdog: per-cell wall-clock budget exhausted"
-                : "cancellation token tripped",
-        };
-    }
-
-    if (control_->cycleBudget != 0 && now_ >= control_->cycleBudget) {
-        return SimInterrupt{
-            RunErrorCode::CycleBudgetExceeded, now_,
-            strfmt("simulated-cycle budget of {} exhausted",
-                   control_->cycleBudget)};
-    }
-
-    // Injected faults: the earliest due fault fires. The detail string
-    // snapshots the live state of the faulted subsystem so the recorded
-    // failure reads like a real post-mortem.
-    const FaultPoint *due = nullptr;
-    for (const FaultPoint &fault : control_->faults.faults) {
-        if (now_ >= fault.atCycle &&
-            (!due || fault.atCycle < due->atCycle))
-            due = &fault;
-    }
-    if (!due)
-        return std::nullopt;
-
-    std::string detail;
-    switch (due->kind) {
-      case FaultKind::CompressorCorruption:
-        detail = strfmt("injected: compressed-line round-trip "
-                        "verification mismatch at cycle {}",
-                        now_);
-        break;
-      case FaultKind::DecompQueueStall: {
-        std::size_t depth = 0;
-        for (const auto &sm : sms_) {
-            for (const CompressorId mode :
-                 {CompressorId::Bdi, CompressorId::Sc, CompressorId::Bpc,
-                  CompressorId::Fpc, CompressorId::CpackZ})
-                depth += sm->cache().queueFor(mode).depth(now_);
-        }
-        detail = strfmt("injected: decompression queue stopped "
-                        "draining ({} entries in flight)",
-                        depth);
-        break;
-      }
-      case FaultKind::DramTimeout:
-        detail = strfmt("injected: DRAM channel unresponsive "
-                        "(backlog {} cycles)",
-                        dram_.queueBacklog(now_));
-        break;
-      case FaultKind::AllocFailure:
-        detail = "injected: cache line allocation failed";
-        break;
-    }
-    return SimInterrupt{faultErrorCode(due->kind), now_,
-                        std::move(detail)};
+    return SimInterrupt{RunErrorCode::CycleBudgetExceeded, now_,
+                        strfmt("simulated-cycle budget of {} exhausted",
+                               control_->cycleBudget)};
 }
 
 RunResult

@@ -32,9 +32,9 @@ class MetricRegistry;
 } // namespace metrics
 
 /**
- * A cooperative stop of the simulation loop: a cancellation token, a
- * cycle-budget trip or an injected fault. The loop winds down at the
- * next iteration, so all statistics remain consistent up to `cycle`.
+ * A cooperative stop of the simulation loop: the cycle budget ran out.
+ * The loop winds down at the next iteration, so all statistics remain
+ * consistent up to `cycle`.
  */
 struct SimInterrupt
 {
@@ -86,9 +86,8 @@ class Gpu : public StatGroup
     void setMetrics(metrics::MetricRegistry *metrics);
 
     /**
-     * Attach the run-control surface (not owned; nullptr detaches).
-     * The kernel loop polls it each iteration: a tripped cancellation
-     * token, an exhausted cycle budget or a due injected fault stops
+     * Attach the run control (not owned; nullptr detaches). The kernel
+     * loop checks it each iteration: an exhausted cycle budget stops
      * the loop cooperatively and reports through RunResult::interrupt.
      */
     void setControl(const RunControl *control) { control_ = control; }
@@ -129,7 +128,7 @@ class Gpu : public StatGroup
     metrics::MetricRegistry *metrics_ = nullptr;
     const RunControl *control_ = nullptr;
 
-    /** The interrupt due at `now_`, if the control surface trips. */
+    /** The interrupt due at `now_`, if the cycle budget ran out. */
     std::optional<SimInterrupt> checkControl();
     Interconnect noc_;
     DramModel dram_;

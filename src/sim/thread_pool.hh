@@ -13,8 +13,8 @@
  * worker spin->sleep transitions (relaxed atomics), and the caller
  * records its end-of-epoch barrier wait into a LatencyHistogram. A
  * destroyed pool folds its counters into a process-wide aggregate
- * (simPoolGlobalStats()) that the bench report and the crash
- * diagnostics expose — purely observational, never part of results.
+ * (simPoolGlobalStats()) that the bench report and perfbench expose —
+ * purely observational, never part of results.
  */
 
 #ifndef LATTE_SIM_THREAD_POOL_HH

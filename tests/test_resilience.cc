@@ -1,19 +1,16 @@
 /**
  * @file
  * Tests for the resilience subsystem: the RunOutcome error API (no
- * failure escapes as an exception or exit), the fault-injection
- * matrix, cycle-budget and cancellation handling, the wall-clock
- * watchdog, retry-with-backoff, and journal-gated resume producing
- * byte-identical sweeps after an interruption.
+ * failure escapes as an exception or exit), cycle-budget failures as
+ * deterministic values that never sink a sweep, and journal-gated
+ * resume producing byte-identical sweeps after an interruption.
  */
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/driver.hh"
@@ -63,42 +60,15 @@ dumpAll(const std::vector<RunOutcome> &outcomes)
     return dumps;
 }
 
-TEST(Resilience, FaultMatrixEveryKindYieldsItsErrorCode)
-{
-    const FaultKind kinds[] = {
-        FaultKind::CompressorCorruption,
-        FaultKind::DecompQueueStall,
-        FaultKind::DramTimeout,
-        FaultKind::AllocFailure,
-    };
-    for (const FaultKind kind : kinds) {
-        RunRequest request = tinyRequest();
-        request.control.faults.faults.push_back(
-            FaultPoint{.kind = kind, .atCycle = 1'000});
-
-        const RunOutcome outcome = run(request);
-        EXPECT_EQ(outcome.status, RunStatus::Failed)
-            << faultKindName(kind);
-        EXPECT_EQ(outcome.error.code, faultErrorCode(kind))
-            << faultKindName(kind);
-        EXPECT_GE(outcome.error.cycle, 1'000u) << faultKindName(kind);
-        EXPECT_FALSE(outcome.result.has_value()) << faultKindName(kind);
-        EXPECT_FALSE(outcome.error.message.empty())
-            << faultKindName(kind);
-        // The error carries its cell context.
-        EXPECT_EQ(outcome.error.workload, "KM") << faultKindName(kind);
-    }
-}
-
 TEST(Resilience, FaultedCellDoesNotSinkTheSweep)
 {
-    // A sweep mixing healthy and faulted cells completes, the healthy
-    // cells finish Ok, and the faulted cell reports its cause.
+    // A sweep mixing healthy cells and a cell that runs out of its
+    // cycle budget completes, the healthy cells finish Ok, and the
+    // failed cell reports its cause.
     std::vector<RunRequest> requests;
     requests.push_back(tinyRequest("KM"));
     requests.push_back(tinyRequest("KM", PolicyKind::LatteCc));
-    requests.back().control.faults.faults.push_back(
-        FaultPoint{.kind = FaultKind::DramTimeout, .atCycle = 2'000});
+    requests.back().control.cycleBudget = 2'000;
     requests.push_back(tinyRequest("SS"));
 
     RunnerOptions options;
@@ -109,70 +79,11 @@ TEST(Resilience, FaultedCellDoesNotSinkTheSweep)
 
     ASSERT_EQ(outcomes.size(), 3u);
     EXPECT_TRUE(outcomes[0].ok());
-    EXPECT_EQ(outcomes[1].status, RunStatus::Failed);
-    EXPECT_EQ(outcomes[1].error.code, RunErrorCode::DramTimeout);
+    EXPECT_EQ(outcomes[1].status, RunStatus::TimedOut);
+    EXPECT_EQ(outcomes[1].error.code, RunErrorCode::CycleBudgetExceeded);
+    EXPECT_GE(outcomes[1].error.cycle, 2'000u);
     EXPECT_TRUE(outcomes[2].ok());
     EXPECT_EQ(runner.stats().failed, 1u);
-}
-
-TEST(Resilience, TransientFaultClearsOnRetry)
-{
-    // firstAttempts = 1 models a transient fault: attempt 1 trips it,
-    // attempt 2 runs clean. With one retry the cell ends Ok and the
-    // first attempt's error is preserved in the retry history.
-    RunRequest request = tinyRequest();
-    request.control.faults.faults.push_back(
-        FaultPoint{.kind = FaultKind::CompressorCorruption,
-                   .atCycle = 1'000,
-                   .firstAttempts = 1});
-
-    RunnerOptions options;
-    options.threads = 1;
-    options.progress = false;
-    options.maxRetries = 1;
-    options.retryBackoffMs = 1;
-    ExperimentRunner runner(options);
-    const auto outcomes = runner.runAll({request});
-
-    ASSERT_EQ(outcomes.size(), 1u);
-    const RunOutcome &outcome = outcomes[0];
-    ASSERT_TRUE(outcome.ok()) << outcome.error.message;
-    EXPECT_EQ(outcome.attempts, 2u);
-    ASSERT_EQ(outcome.retryHistory.size(), 1u);
-    EXPECT_EQ(outcome.retryHistory[0].code,
-              RunErrorCode::CompressorCorruption);
-    EXPECT_EQ(runner.stats().retried, 1u);
-    EXPECT_EQ(runner.stats().failed, 0u);
-
-    // The retried-to-ok result is bit-identical to a clean run.
-    const RunOutcome clean = run(tinyRequest());
-    ASSERT_TRUE(clean.ok());
-    EXPECT_EQ(toJson(*outcome.result).dump(),
-              toJson(*clean.result).dump());
-}
-
-TEST(Resilience, PersistentFaultExhaustsRetries)
-{
-    RunRequest request = tinyRequest();
-    request.control.faults.faults.push_back(
-        FaultPoint{.kind = FaultKind::AllocFailure, .atCycle = 500});
-
-    RunnerOptions options;
-    options.threads = 1;
-    options.progress = false;
-    options.maxRetries = 2;
-    options.retryBackoffMs = 1;
-    ExperimentRunner runner(options);
-    const auto outcomes = runner.runAll({request});
-
-    ASSERT_EQ(outcomes.size(), 1u);
-    const RunOutcome &outcome = outcomes[0];
-    EXPECT_EQ(outcome.status, RunStatus::Failed);
-    EXPECT_EQ(outcome.error.code, RunErrorCode::AllocFailure);
-    EXPECT_EQ(outcome.attempts, 3u); // 1 try + 2 retries
-    ASSERT_EQ(outcome.retryHistory.size(), 2u);
-    for (const RunError &prior : outcome.retryHistory)
-        EXPECT_EQ(prior.code, RunErrorCode::AllocFailure);
 }
 
 TEST(Resilience, CycleBudgetTimesOutTheCell)
@@ -187,38 +98,23 @@ TEST(Resilience, CycleBudgetTimesOutTheCell)
     EXPECT_FALSE(outcome.result.has_value());
 }
 
-TEST(Resilience, PreCancelledTokenCancelsImmediately)
+TEST(Resilience, CycleBudgetFailureIsDeterministic)
 {
-    CancelToken token;
-    token.cancel();
+    // A cell is a pure function of its request, so a budget trip is
+    // too: the same over-budget cell fails with the same code, cycle
+    // and message every time. This is why failures are journaled and
+    // never retried.
+    RunRequest request = tinyRequest("SS", PolicyKind::LatteCc);
+    request.control.cycleBudget = 3'000;
 
-    RunRequest request = tinyRequest();
-    request.control.cancel = &token;
-
-    const RunOutcome outcome = run(request);
-    EXPECT_EQ(outcome.status, RunStatus::Cancelled);
-    EXPECT_EQ(outcome.error.code, RunErrorCode::Cancelled);
-}
-
-TEST(Resilience, CancelledCellsAreNotRetried)
-{
-    CancelToken token;
-    token.cancel();
-    RunRequest request = tinyRequest();
-    request.control.cancel = &token;
-
-    RunnerOptions options;
-    options.threads = 1;
-    options.progress = false;
-    options.maxRetries = 3;
-    options.retryBackoffMs = 1;
-    ExperimentRunner runner(options);
-    const auto outcomes = runner.runAll({request});
-
-    ASSERT_EQ(outcomes.size(), 1u);
-    EXPECT_EQ(outcomes[0].status, RunStatus::Cancelled);
-    EXPECT_EQ(outcomes[0].attempts, 1u);
-    EXPECT_TRUE(outcomes[0].retryHistory.empty());
+    const RunOutcome first = run(request);
+    const RunOutcome second = run(request);
+    ASSERT_EQ(first.error.code, RunErrorCode::CycleBudgetExceeded);
+    EXPECT_FALSE(first.error.message.empty());
+    EXPECT_EQ(second.error.code, first.error.code);
+    EXPECT_EQ(second.error.cycle, first.error.cycle);
+    EXPECT_EQ(second.error.message, first.error.message);
+    EXPECT_EQ(toJson(second).dump(), toJson(first).dump());
 }
 
 TEST(Resilience, InvalidConfigIsAFailureValueNotAnExit)
@@ -241,51 +137,6 @@ TEST(Resilience, NullWorkloadIsInvalidRequest)
     EXPECT_EQ(outcome.error.code, RunErrorCode::InvalidRequest);
 }
 
-TEST(Resilience, WatchdogCancelsOnlyExpiredTokens)
-{
-    Watchdog watchdog(2);
-
-    CancelToken expired;
-    CancelToken healthy;
-    watchdog.arm(&expired, 10);
-    const std::uint64_t healthy_id = watchdog.arm(&healthy, 60'000);
-
-    // Wait (generously) for the watchdog to trip the short deadline.
-    for (int i = 0; i < 500 && !expired.cancelled(); ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-
-    EXPECT_TRUE(expired.cancelled());
-    EXPECT_EQ(expired.reason(), RunErrorCode::WallClockTimeout);
-    EXPECT_FALSE(healthy.cancelled());
-    EXPECT_EQ(watchdog.expiredCount(), 1u);
-
-    watchdog.disarm(healthy_id);
-    EXPECT_FALSE(healthy.cancelled());
-}
-
-TEST(Resilience, WatchdogTimesOutAHungCell)
-{
-    // A full-size machine takes far longer than the 1 ms budget, so
-    // the watchdog must cancel it; the simulation winds down
-    // cooperatively and reports TimedOut.
-    const Workload *workload = findWorkload("KM");
-    ASSERT_NE(workload, nullptr);
-    RunRequest request;
-    request.workload = workload;
-    request.policy = PolicyKind::LatteCc; // default (big) options
-
-    RunnerOptions options;
-    options.threads = 1;
-    options.progress = false;
-    options.cellTimeoutMs = 1;
-    ExperimentRunner runner(options);
-    const auto outcomes = runner.runAll({request});
-
-    ASSERT_EQ(outcomes.size(), 1u);
-    EXPECT_EQ(outcomes[0].status, RunStatus::TimedOut);
-    EXPECT_EQ(outcomes[0].error.code, RunErrorCode::WallClockTimeout);
-}
-
 TEST(Resilience, JournalRoundTripsAndSkipsTruncatedTail)
 {
     const std::string path = ::testing::TempDir() +
@@ -293,14 +144,12 @@ TEST(Resilience, JournalRoundTripsAndSkipsTruncatedTail)
     std::filesystem::remove(path);
 
     RunError error;
-    error.code = RunErrorCode::DramTimeout;
-    error.message = "injected";
+    error.code = RunErrorCode::CycleBudgetExceeded;
+    error.message = "simulated-cycle budget of 100 exhausted";
     error.workload = "KM";
     error.policyLabel = "LATTE-CC";
     error.cycle = 123;
-    RunOutcome failed = RunOutcome::failure(error);
-    failed.attempts = 2;
-    failed.retryHistory.push_back(error);
+    const RunOutcome failed = RunOutcome::failure(error);
 
     {
         SweepJournal journal(path);
@@ -319,11 +168,10 @@ TEST(Resilience, JournalRoundTripsAndSkipsTruncatedTail)
 
     const auto entry = reloaded.find("cell-a");
     ASSERT_TRUE(entry.has_value());
-    EXPECT_EQ(entry->status, RunStatus::Failed);
-    EXPECT_EQ(entry->error.code, RunErrorCode::DramTimeout);
+    EXPECT_EQ(entry->status, RunStatus::TimedOut);
+    EXPECT_EQ(entry->error.code, RunErrorCode::CycleBudgetExceeded);
     EXPECT_EQ(entry->error.cycle, 123u);
-    EXPECT_EQ(entry->attempts, 2u);
-    ASSERT_EQ(entry->retryHistory.size(), 1u);
+    EXPECT_EQ(entry->error.message, error.message);
 
     std::filesystem::remove(path);
 }
@@ -439,8 +287,7 @@ TEST(Resilience, JournalReplaysFailuresWithoutRerunning)
         ::testing::TempDir() + "/latte_resilience_failjournal_test";
     std::filesystem::remove_all(dir);
 
-    // A cycle budget (no injected faults, so the cell is journal-
-    // eligible) forces a deterministic timeout.
+    // A cycle budget forces a deterministic timeout.
     RunRequest request = tinyRequest();
 
     RunnerOptions options;
@@ -483,10 +330,9 @@ TEST(Resilience, CustomLabelIsAuthoritativeEverywhere)
     ASSERT_TRUE(ok.ok());
     EXPECT_EQ(ok.value().policyLabel, "My-Baseline");
 
-    RunRequest faulted = request;
-    faulted.control.faults.faults.push_back(
-        FaultPoint{.kind = FaultKind::AllocFailure, .atCycle = 500});
-    const RunOutcome bad = run(faulted);
+    RunRequest budgeted = request;
+    budgeted.control.cycleBudget = 500;
+    const RunOutcome bad = run(budgeted);
     ASSERT_FALSE(bad.ok());
     EXPECT_EQ(bad.error.policyLabel, "My-Baseline");
 }
@@ -505,15 +351,14 @@ TEST(Resilience, SweepExportsFailedCellsAsPartialResults)
         Sweep sweep(cli, tinyOptions());
 
         sweep.add(tinyRequest("KM"));
-        RunRequest faulted = tinyRequest("SS");
-        faulted.control.faults.faults.push_back(FaultPoint{
-            .kind = FaultKind::DecompQueueStall, .atCycle = 2'000});
-        sweep.add(faulted);
+        RunRequest budgeted = tinyRequest("SS");
+        budgeted.control.cycleBudget = 2'000;
+        sweep.add(budgeted);
 
         EXPECT_TRUE(sweep.outcome(tinyRequest("KM")).ok());
-        const RunOutcome &bad = sweep.outcome(faulted);
-        EXPECT_EQ(bad.status, RunStatus::Failed);
-        EXPECT_EQ(bad.error.code, RunErrorCode::DecompQueueStall);
+        const RunOutcome &bad = sweep.outcome(budgeted);
+        EXPECT_EQ(bad.status, RunStatus::TimedOut);
+        EXPECT_EQ(bad.error.code, RunErrorCode::CycleBudgetExceeded);
         // Destructor writes the --json export.
     }
 
@@ -535,9 +380,9 @@ TEST(Resilience, SweepExportsFailedCellsAsPartialResults)
             EXPECT_GT(cell.at("cycles").asUint(), 0u);
         } else {
             saw_failed = true;
-            EXPECT_EQ(status, "failed");
+            EXPECT_EQ(status, "timed_out");
             EXPECT_EQ(cell.at("error").at("code").asString(),
-                      "decomp_queue_stall");
+                      "cycle_budget_exceeded");
             EXPECT_EQ(cell.at("workload").asString(), "SS");
         }
     }
@@ -553,14 +398,7 @@ TEST(Resilience, ErrorCodeNamesRoundTrip)
         RunErrorCode::None,
         RunErrorCode::InvalidRequest,
         RunErrorCode::InvalidConfig,
-        RunErrorCode::WallClockTimeout,
         RunErrorCode::CycleBudgetExceeded,
-        RunErrorCode::Cancelled,
-        RunErrorCode::CompressorCorruption,
-        RunErrorCode::DecompQueueStall,
-        RunErrorCode::DramTimeout,
-        RunErrorCode::AllocFailure,
-        RunErrorCode::Internal,
     };
     for (const RunErrorCode code : codes) {
         const char *name = runErrorCodeName(code);
@@ -572,8 +410,7 @@ TEST(Resilience, ErrorCodeNamesRoundTrip)
     EXPECT_EQ(runErrorCodeFromName("no-such-code"), nullptr);
 
     const RunStatus statuses[] = {RunStatus::Ok, RunStatus::Failed,
-                                  RunStatus::TimedOut,
-                                  RunStatus::Cancelled};
+                                  RunStatus::TimedOut};
     for (const RunStatus status : statuses) {
         const RunStatus *back =
             runStatusFromName(runStatusName(status));
@@ -588,8 +425,8 @@ TEST(Resilience, ToStringRunErrorRoundTripsItsCode)
     // its leading token must parse back through runErrorCodeFromName
     // so log lines stay machine-greppable by code.
     RunError error;
-    error.code = RunErrorCode::WallClockTimeout;
-    error.message = "cell exceeded 5000 ms";
+    error.code = RunErrorCode::CycleBudgetExceeded;
+    error.message = "simulated-cycle budget of 5000 exhausted";
     const std::string text = to_string(error);
     const std::string token = text.substr(0, text.find(':'));
     const RunErrorCode *back = runErrorCodeFromName(token);
@@ -599,9 +436,9 @@ TEST(Resilience, ToStringRunErrorRoundTripsItsCode)
 
     // Without a message the whole string IS the code token.
     RunError bare;
-    bare.code = RunErrorCode::Cancelled;
+    bare.code = RunErrorCode::InvalidRequest;
     EXPECT_EQ(to_string(bare),
-              runErrorCodeName(RunErrorCode::Cancelled));
+              runErrorCodeName(RunErrorCode::InvalidRequest));
     EXPECT_NE(runErrorCodeFromName(to_string(bare)), nullptr);
 }
 

@@ -177,16 +177,12 @@ TEST(Runner, ConcurrentRunnersShareOneCacheDirSafely)
 
 TEST(Runner, ExecutionShortcutsAreBitIdentical)
 {
-    // The compression memo, the verify-round-trip payloads and the
-    // tracer are execution shortcuts or observers: none of them may
-    // perturb a single simulated bit. Golden check: full result JSON
-    // (cycles, energy, per-kernel snapshots, the whole stat dump) is
-    // byte-identical with each toggled, after dropping the memo's own
-    // bookkeeping counters.
-    const auto dump_without_memo_stats = [](WorkloadRunResult result) {
-        std::erase_if(result.stats, [](const auto &kv) {
-            return kv.first.find("compress_memo") != std::string::npos;
-        });
+    // The verify-round-trip payloads, the tracer, the metric registry
+    // and the profiler are execution shortcuts or observers: none of
+    // them may perturb a single simulated bit. Golden check: full
+    // result JSON (cycles, energy, per-kernel snapshots, the whole stat
+    // dump) is byte-identical with each toggled.
+    const auto dump = [](const WorkloadRunResult &result) {
         return toJson(result).dump();
     };
 
@@ -200,40 +196,28 @@ TEST(Runner, ExecutionShortcutsAreBitIdentical)
             request.workload = workload;
             request.policy = kind;
             request.options = tinyOptions();
-            request.options.tuning.compressionMemo = true;
-            const std::string golden =
-                dump_without_memo_stats(run(request).value());
-
-            RunRequest no_memo = request;
-            no_memo.options.tuning.compressionMemo = false;
-            EXPECT_EQ(dump_without_memo_stats(run(no_memo).value()),
-                      golden)
-                << name << "/" << policyName(kind) << " memo off";
+            const std::string golden = dump(run(request).value());
 
             RunRequest verified = request;
             verified.options.tuning.verifyRoundTrip = true;
-            EXPECT_EQ(dump_without_memo_stats(run(verified).value()),
-                      golden)
+            EXPECT_EQ(dump(run(verified).value()), golden)
                 << name << "/" << policyName(kind) << " verify on";
 
             RunRequest traced = request;
             Tracer tracer;
             traced.tracer = &tracer;
-            EXPECT_EQ(dump_without_memo_stats(run(traced).value()),
-                      golden)
+            EXPECT_EQ(dump(run(traced).value()), golden)
                 << name << "/" << policyName(kind) << " tracing on";
 
             RunRequest metered = request;
             metrics::MetricRegistry registry;
             metered.metrics = &registry;
-            EXPECT_EQ(dump_without_memo_stats(run(metered).value()),
-                      golden)
+            EXPECT_EQ(dump(run(metered).value()), golden)
                 << name << "/" << policyName(kind) << " metrics on";
             EXPECT_FALSE(registry.rows().empty());
 
             metrics::setProfilerEnabled(true);
-            const std::string profiled =
-                dump_without_memo_stats(run(request).value());
+            const std::string profiled = dump(run(request).value());
             metrics::setProfilerEnabled(false);
             EXPECT_EQ(profiled, golden)
                 << name << "/" << policyName(kind) << " profiler on";
@@ -511,10 +495,7 @@ TEST(Runner, SweepArgParsing)
                          "--metrics-interval", "5000",
                          "--profile",   "--bench-out", "bench.json",
                          "--resume",    "journal.jsonl",
-                         "--cell-timeout", "2.5",
-                         "--cell-cycle-budget", "1000000",
-                         "--retries",   "3",
-                         "--retry-backoff-ms", "50"};
+                         "--cell-cycle-budget", "1000000"};
     std::vector<char *> argv;
     for (const char *arg : raw)
         argv.push_back(const_cast<char *>(arg));
@@ -530,15 +511,32 @@ TEST(Runner, SweepArgParsing)
     EXPECT_EQ(cli.benchOut, "bench.json");
     EXPECT_FALSE(cli.progress);
     EXPECT_EQ(cli.resumePath, "journal.jsonl");
-    EXPECT_EQ(cli.cellTimeoutMs, 2500u);
     EXPECT_EQ(cli.cellCycleBudget, 1'000'000u);
-    EXPECT_EQ(cli.retries, 3u);
-    EXPECT_EQ(cli.retryBackoffMs, 50u);
 
     // Consumed flags are compacted away; positionals survive.
     ASSERT_EQ(argc, 2);
     EXPECT_STREQ(argv[0], "prog");
     EXPECT_STREQ(argv[1], "positional");
+}
+
+TEST(RunnerDeathTest, SweepRejectsUnknownFlags)
+{
+    // A misspelt or retired flag must stop a sweep binary, not run the
+    // whole grid without it; a positional workload name survives.
+    const auto construct = [](std::vector<const char *> raw) {
+        raw.push_back(nullptr);
+        int argc = static_cast<int>(raw.size()) - 1;
+        std::vector<char *> argv;
+        for (const char *arg : raw)
+            argv.push_back(const_cast<char *>(arg));
+        Sweep sweep(argc, argv.data());
+        return argc;
+    };
+    EXPECT_DEATH(construct({"prog", "--bogus-flag", "7"}),
+                 "unknown argument '--bogus-flag' \\(try --help\\)");
+    EXPECT_DEATH(construct({"prog", "-j", "2", "--retries", "3"}),
+                 "unknown argument '--retries'");
+    EXPECT_EQ(construct({"prog", "--no-progress", "-j", "1", "KM"}), 2);
 }
 
 TEST(Runner, SweepDedupesAndRunsPending)
